@@ -1,11 +1,13 @@
 """Finite multiplicative lattices and element classification."""
 
 from .classify import (
+    CANONICAL_SETS,
     MClosedSet,
     NotMClosed,
     NotXMultClosed,
     PreconditionViolated,
     XMultClosedSet,
+    canonical_sets,
     complement_characterization,
     downset_m_closed,
     is_j_element,
@@ -26,7 +28,7 @@ from .classify import (
     x_witness,
     zero_divisor_set,
 )
-from .corpus import acceptance_corpus, chain_lattice, kite_lattice
+from .corpus import acceptance_corpus, chain_lattice, kite_lattice, parse_corpus_spec
 from .dot import hasse_dot
 from .lemmas import CheckResult, SuiteReport, lemma_suite
 from .multiplicative import (
@@ -60,6 +62,7 @@ from .ringbridge import (
     CrossValidationMismatch,
     ProductRingModel,
     ZnIdealModel,
+    cross_validate,
     cross_validate_product,
     cross_validate_zn,
     ideal_lattice_product,
@@ -69,7 +72,7 @@ from .ringbridge import (
     ring_is_n_ideal,
     ring_is_r_ideal,
 )
-from .search import SearchHit, parse_corpus_spec, search_corpus
+from .search import SearchHit, search_corpus
 from .specfile import (
     LatticeSpecFile,
     ParseError,

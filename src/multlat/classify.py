@@ -13,6 +13,7 @@ in element-index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
@@ -118,6 +119,23 @@ def prime_meet_downset(M: MultiplicativeLattice, name: str = "pmeet") -> MClosed
     return downset_m_closed(M, M.big_meet(M.prime_elements()), name)
 
 
+CANONICAL_SETS = {"r": zero_divisor_set, "n": nil_downset, "j": jacobson_downset}
+"""The sets behind r-, n- and J-elements, keyed by letter; each takes (M, name)."""
+
+
+def canonical_sets(M: MultiplicativeLattice) -> dict[str, MClosedSet]:
+    """The r/n/J sets of M under their default names, in r, n, j order."""
+    return {letter: make(M) for letter, make in CANONICAL_SETS.items()}
+
+
+def distinct_sets(sets: Iterable[MClosedSet]) -> list[MClosedSet]:
+    """One set per distinct membership; the first one given keeps its name."""
+    seen: dict[frozenset[int], MClosedSet] = {}
+    for X in sets:
+        seen.setdefault(X.members, X)
+    return list(seen.values())
+
+
 def principal_generator(M: MultiplicativeLattice, X: MClosedSet) -> int | None:
     """j with X = down-set of j, if X is such a down-set."""
     j = M.big_join(X.members)
@@ -129,30 +147,9 @@ def principal_generator(M: MultiplicativeLattice, X: MClosedSet) -> int | None:
 # -- the X-element predicate -------------------------------------------------
 
 
-def x_witness(
-    M: MultiplicativeLattice,
-    X: MClosedSet,
-    i: int,
-    universe_mask: int | None = None,
-) -> tuple[int, int] | None:
-    """First (a, b) with a*b <= i, a outside X, b not <= i; None if no pair.
-
-    ``universe_mask`` restricts both quantifiers (used by the consistency
-    check that the compact-element criterion matches the full one; every
-    element of a finite lattice is compact, so the default is everything).
-    """
-    if universe_mask is None:
-        universe_mask = M.lattice.full_mask
-    down_i = M.down_mask(i)
-    xmask = X.mask
-    below = M._prod_below
-    for a in iter_bits(universe_mask):
-        if xmask >> a & 1:
-            continue
-        bad = below[a][i] & ~down_i & universe_mask
-        if bad:
-            return a, (bad & -bad).bit_length() - 1
-    return None
+def x_witness(M: MultiplicativeLattice, X: MClosedSet, i: int) -> tuple[int, int] | None:
+    """First (a, b) with a*b <= i, a outside X, b not <= i; None if no pair."""
+    return M.escape_witness(i, X.mask, M.down_mask(i))
 
 
 def is_x_element(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
@@ -173,6 +170,27 @@ def is_n_element(M: MultiplicativeLattice, i: int) -> bool:
 
 def is_j_element(M: MultiplicativeLattice, i: int) -> bool:
     return is_x_element(M, jacobson_downset(M), i)
+
+
+def join_escape(
+    M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]
+) -> tuple[int, int] | None:
+    """First pair of X-elements, in index order, whose join is not an X-element."""
+    for i1, i2 in combinations(sorted(xels), 2):
+        if not is_x_element(M, X, M.join(i1, i2)):
+            return i1, i2
+    return None
+
+
+def prime_meet_facts(M: MultiplicativeLattice) -> tuple[int, bool, bool, bool]:
+    """The meet j of all primes, and three facts that must agree about it.
+
+    Returns (j, X-elements exist for the down-set of j, j is prime, the
+    minimal prime is unique).
+    """
+    j = M.big_meet(M.prime_elements())
+    exists = bool(x_elements(M, downset_m_closed(M, j)))
+    return j, exists, M.is_prime(j), len(M.min_primes()) == 1
 
 
 def residual_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:

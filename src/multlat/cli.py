@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Targets are a spec file path, ``zn:<n>`` for the ideal lattice of Z_n, or
-``prod:<m>,<n>`` for the ideal lattice of Z_m x Z_n. Exit codes: 0 for pass,
-1 for a property failure (witnesses printed), 2 for input or axiom errors.
+A target is a spec file path or a corpus spec naming exactly one instance:
+``zn:<n>`` for the ideal lattice of Z_n, ``prod:<m>,<n>`` for that of
+Z_m x Z_n, or ``chain:<n>`` for the meet-multiplied chain. Exit codes: 0 for
+pass, 1 for a property failure (witnesses printed), 2 for input or axiom errors.
 ``validate`` is the exception by design: there an axiom violation is the
 property under test, so it exits 1 and only unreadable input exits 2.
 """
@@ -10,17 +11,11 @@ property under test, so it exits 1 and only unreadable input exits 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
-from .classify import (
-    MClosedSet,
-    NotMClosed,
-    NotXMultClosed,
-    downset_m_closed,
-    jacobson_downset,
-    nil_downset,
-    zero_divisor_set,
-)
+from .classify import CANONICAL_SETS, MClosedSet, NotMClosed, NotXMultClosed, downset_m_closed
+from .corpus import CORPUS_KINDS, parse_corpus_spec
 from .dot import hasse_dot
 from .lemmas import lemma_suite
 from .multiplicative import (
@@ -31,14 +26,8 @@ from .multiplicative import (
 )
 from .order import CycleError, NotALattice
 from .report import classify_lattice, render_report, report_to_json
-from .ringbridge import (
-    CrossValidationMismatch,
-    cross_validate_product,
-    cross_validate_zn,
-    ideal_lattice_product,
-    ideal_lattice_zn,
-)
-from .search import PROPERTIES, parse_corpus_spec, search_corpus
+from .ringbridge import CrossValidationMismatch, cross_validate
+from .search import PROPERTIES, search_corpus
 from .specfile import ParseError, load_path
 
 _STRUCTURE_ERRORS = (
@@ -52,23 +41,22 @@ _STRUCTURE_ERRORS = (
 )
 
 
+XSET_ARGS = {"zdiv": "r", "nil": "n", "jrad": "j"}
+"""``--x`` keywords for the canonical sets, mapped to their ``CANONICAL_SETS`` letter."""
+
+
+def _one_instance(spec: str) -> tuple[MultiplicativeLattice, object]:
+    """The single (lattice, ring model) pair a corpus spec names."""
+    found = list(itertools.islice(parse_corpus_spec(spec), 2))
+    if len(found) != 1:
+        raise ValueError(f"bad target {spec!r}: expected a single instance, not a range")
+    return found[0]
+
+
 def resolve_target(target: str) -> tuple[MultiplicativeLattice, dict[str, MClosedSet]]:
-    if target.startswith("zn:"):
-        return ideal_lattice_zn(_parse_int(target[3:], target))[0], {}
-    if target.startswith("prod:"):
-        parts = target[5:].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad target {target!r}: expected prod:M,N")
-        m, n = (_parse_int(p, target) for p in parts)
-        return ideal_lattice_product(m, n)[0], {}
+    if target.partition(":")[0] in CORPUS_KINDS:
+        return _one_instance(target)[0], {}
     return load_path(target)
-
-
-def _parse_int(s: str, target: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ValueError(f"bad target {target!r}: {s!r} is not an integer") from None
 
 
 def resolve_xset(
@@ -76,12 +64,8 @@ def resolve_xset(
 ) -> MClosedSet:
     if arg in named:
         return named[arg]
-    if arg == "zdiv":
-        return zero_divisor_set(M)
-    if arg == "nil":
-        return nil_downset(M)
-    if arg == "jrad":
-        return jacobson_downset(M)
+    if arg in XSET_ARGS:
+        return CANONICAL_SETS[XSET_ARGS[arg]](M)
     if arg.startswith("downset:"):
         label = arg.split(":", 1)[1]
         try:
@@ -123,17 +107,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cross_validate(args) -> int:
-    target = args.target
+    M, model = _one_instance(args.target)
+    if model is None:
+        raise ValueError("cross-validate takes zn:<n> or prod:<m>,<n>")
     try:
-        if target.startswith("zn:"):
-            report = cross_validate_zn(_parse_int(target[3:], target))
-        elif target.startswith("prod:"):
-            parts = target[5:].split(",")
-            if len(parts) != 2:
-                raise ValueError(f"bad target {target!r}: expected prod:M,N")
-            report = cross_validate_product(*(_parse_int(p, target) for p in parts))
-        else:
-            raise ValueError("cross-validate takes zn:<n> or prod:<m>,<n>")
+        report = cross_validate(M, model)
     except CrossValidationMismatch as exc:
         print(f"MISMATCH: {exc}")
         return 1
@@ -144,7 +122,8 @@ def cmd_cross_validate(args) -> int:
 def cmd_search(args) -> int:
     def instances():
         for spec in args.corpus:
-            yield from parse_corpus_spec(spec)
+            for M, _ in parse_corpus_spec(spec):
+                yield M
 
     hits = search_corpus(instances(), args.find)
     for hit in hits:
@@ -176,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="per-element classification report")
-    p.add_argument("target", help="spec file, zn:<n> or prod:<m>,<n>")
+    p.add_argument("target", help="spec file, zn:<n>, prod:<m>,<n> or chain:<n>")
     p.add_argument("--x", action="append", default=[], metavar="SET",
                    help="extra M-closed set: declared name, zdiv, nil, jrad or downset:<label>")
     p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -1,9 +1,16 @@
-"""Stock lattice instances used by the verification sweeps.
+"""Stock lattice instances used by the verification sweeps, and corpus specs.
 
 The six-element "kite" lattice with the trivial multiplication is the
 standing small example (one coatom, so the trivial multiplication is legal,
 and every element squares to bottom). Chains carry either the trivial or the
 meet multiplication; ideal lattices come from the ring bridge.
+
+A corpus spec names instances: ``zn:N`` or ``zn:A..B`` (ideal lattices of
+Z_n), ``prod:M,N`` (ideal lattice of Z_m x Z_n) and ``chain:N`` or
+``chain:A..B`` (chains with the meet multiplication; over ideal lattices of
+Z_n the nil and Jacobson down-sets always coincide, so the n-vs-J separation
+needs instances where the radical of bottom sits strictly below the Jacobson
+radical, and meet chains are the smallest such).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Iterator
 
 from .multiplicative import MultiplicativeLattice, meet_mult, trivial_mult
 from .order import lattice_from_pairs
-from .ringbridge import ideal_lattice_product, ideal_lattice_zn
+from .ringbridge import ProductRingModel, ZnIdealModel, ideal_lattice_product, ideal_lattice_zn
 
 KITE_LABELS = ("0", "a", "b", "c", "d", "1")
 KITE_COVERS = ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (4, 5))
@@ -62,3 +69,47 @@ def acceptance_corpus(zn_hi: int = 200) -> Iterator[MultiplicativeLattice]:
     for n in range(2, 9):
         yield chain_lattice(n, "trivial")
     yield kite_lattice()
+
+
+CORPUS_KINDS = ("zn", "prod", "chain")
+
+
+def parse_corpus_spec(
+    spec: str,
+) -> Iterator[tuple[MultiplicativeLattice, ZnIdealModel | ProductRingModel | None]]:
+    """The (lattice, ring model) pairs a corpus spec names; the model is None for chains."""
+    kind, _, rest = spec.partition(":")
+    if kind == "zn":
+        for n in _parse_range(rest, spec):
+            yield ideal_lattice_zn(n)
+    elif kind == "prod":
+        parts = rest.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"bad corpus spec {spec!r}: expected prod:M,N")
+        yield ideal_lattice_product(_int(parts[0], spec), _int(parts[1], spec))
+    elif kind == "chain":
+        for n in _parse_range(rest, spec):
+            yield chain_lattice(n, "meet"), None
+    else:
+        raise ValueError(
+            f"bad corpus spec {spec!r}: unknown kind {kind!r}, expected one of "
+            f"{', '.join(CORPUS_KINDS)}"
+        )
+
+
+def _parse_range(rest: str, spec: str) -> range:
+    if ".." in rest:
+        lo, _, hi = rest.partition("..")
+        out = range(_int(lo, spec), _int(hi, spec) + 1)
+        if not out:
+            raise ValueError(f"bad corpus spec {spec!r}: empty range {rest}")
+        return out
+    n = _int(rest, spec)
+    return range(n, n + 1)
+
+
+def _int(s: str, spec: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise ValueError(f"bad corpus spec {spec!r}: {s!r} is not an integer") from None

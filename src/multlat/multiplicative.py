@@ -214,20 +214,28 @@ class MultiplicativeLattice:
 
     # -- prime / primary / maximal ------------------------------------------
 
+    def escape_witness(self, i: int, skip: int, keep: int) -> tuple[int, int] | None:
+        """First (a, b) in index order with a*b <= i, a outside skip, b outside keep.
+
+        ``skip`` and ``keep`` are element masks. The X-element, prime and
+        primary witnesses are all this scan with different masks.
+        """
+        below = self._prod_below
+        for a in range(self.size):
+            if skip >> a & 1:
+                continue
+            bad = below[a][i] & ~keep
+            if bad:
+                return a, (bad & -bad).bit_length() - 1
+        return None
+
     def prime_witness(self, p: int) -> tuple[int, int] | None:
         """First (a, b) with a*b <= p but neither factor <= p; None if prime.
 
         Properness is not examined here; ``is_prime`` adds it.
         """
         down_p = self.lattice.order.down[p]
-        below = self._prod_below
-        for a in range(self.size):
-            if down_p >> a & 1:
-                continue
-            bad = below[a][p] & ~down_p
-            if bad:
-                return a, (bad & -bad).bit_length() - 1
-        return None
+        return self.escape_witness(p, down_p, down_p)
 
     def is_prime(self, p: int) -> bool:
         return bool(self._prime_mask >> p & 1)
@@ -245,16 +253,8 @@ class MultiplicativeLattice:
 
     def primary_witness(self, i: int) -> tuple[int, int] | None:
         """First (a, b) with a*b <= i, a not<= i and b not<= radical(i)."""
-        down_i = self.lattice.order.down[i]
-        down_rad = self.lattice.order.down[self.radical(i)]
-        below = self._prod_below
-        for a in range(self.size):
-            if down_i >> a & 1:
-                continue
-            bad = below[a][i] & ~down_rad
-            if bad:
-                return a, (bad & -bad).bit_length() - 1
-        return None
+        down = self.lattice.order.down
+        return self.escape_witness(i, down[i], down[self.radical(i)])
 
     def is_primary(self, i: int) -> bool:
         return i != self.top and self.primary_witness(i) is None

@@ -11,14 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .classify import (
-    MClosedSet,
-    is_x_element,
-    jacobson_downset,
-    nil_downset,
-    x_witness,
-    zero_divisor_set,
-)
+from .classify import MClosedSet, canonical_sets, x_witness
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
 
 
@@ -78,11 +71,7 @@ def classify_lattice(
     def labels_of(items) -> tuple[str, ...]:
         return tuple(M.label(i) for i in sorted(items))
 
-    canonical = {
-        "r-element": zero_divisor_set(M),
-        "n-element": nil_downset(M),
-        "j-element": jacobson_downset(M),
-    }
+    canonical = _canonical_flags(M)
     summary = LatticeSummary(
         maximal=labels_of(M.max_elements()),
         jacobson=M.label(M.jacobson()),
@@ -114,6 +103,10 @@ def classify_lattice(
         xsets={X.name: labels_of(X.members) for X in xsets},
         rows=tuple(rows),
     )
+
+
+def _canonical_flags(M: MultiplicativeLattice) -> dict[str, MClosedSet]:
+    return {f"{letter}-element": X for letter, X in canonical_sets(M).items()}
 
 
 def _flag(M: MultiplicativeLattice, improper: bool, witness) -> FlagResult:
@@ -228,9 +221,7 @@ def check_report_witnesses(
     """Re-check every recorded witness against the definition it violates."""
     label_index = {lbl: i for i, lbl in enumerate(M.labels)}
     named = {f"x:{X.name}": X for X in xsets}
-    named["r-element"] = zero_divisor_set(M)
-    named["n-element"] = nil_downset(M)
-    named["j-element"] = jacobson_downset(M)
+    named.update(_canonical_flags(M))
     for row in report.rows:
         i = label_index[row.element]
         for flag_name, f in row.flags.items():

@@ -17,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from .classify import (
-    is_x_element,
-    jacobson_downset,
-    nil_downset,
-    zero_divisor_set,
-)
+
+from .classify import canonical_sets, is_x_element
 from .multiplicative import MultiplicativeLattice, attach_multiplication
 from .order import build_order, validate_lattice
+from .report import _yn
 
 
 class CrossValidationMismatch(RuntimeError):
@@ -40,7 +37,16 @@ class CrossValidationMismatch(RuntimeError):
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """Ascending divisors of n, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return tuple(small + large[::-1])
 
 
 def is_prime_power(n: int) -> bool:
@@ -289,14 +295,9 @@ class CrossValidationReport:
         return "\n".join(lines)
 
 
-def _yn(b: bool) -> str:
-    return "yes" if b else "no"
-
-
-def _cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
-    rset = zero_divisor_set(M)
-    nset = nil_downset(M)
-    jset = jacobson_downset(M)
+def cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
+    """Classify every proper ideal of ``model`` on the ring and on its lattice M."""
+    sets = canonical_sets(M)
     labels = model.labels()
     rows = []
     for idx in model.proper_indices():
@@ -305,11 +306,7 @@ def _cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
             "n": ring_is_n_ideal(model, idx),
             "j": ring_is_j_ideal(model, idx),
         }
-        lattice_flags = {
-            "r": is_x_element(M, rset, idx),
-            "n": is_x_element(M, nset, idx),
-            "j": is_x_element(M, jset, idx),
-        }
+        lattice_flags = {letter: is_x_element(M, X, idx) for letter, X in sets.items()}
         for which in ("r", "n", "j"):
             if ring_flags[which] != lattice_flags[which]:
                 raise CrossValidationMismatch(
@@ -326,10 +323,8 @@ def _cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
 
 
 def cross_validate_zn(n: int) -> CrossValidationReport:
-    M, model = ideal_lattice_zn(n)
-    return _cross_validate(M, model)
+    return cross_validate(*ideal_lattice_zn(n))
 
 
 def cross_validate_product(m: int, n: int) -> CrossValidationReport:
-    M, model = ideal_lattice_product(m, n)
-    return _cross_validate(M, model)
+    return cross_validate(*ideal_lattice_product(m, n))

@@ -1,30 +1,23 @@
 """Corpus scans for properties that hold on some instances and not others.
 
-A corpus spec is one of ``zn:A..B``, ``zn:N``, ``prod:M,N`` or
-``chain:A..B`` / ``chain:N`` (chains with the meet multiplication; over
-ideal lattices of Z_n the nil and Jacobson down-sets always coincide, so the
-n-vs-J separation needs instances where the radical of bottom sits strictly
-below the Jacobson radical, and meet chains are the smallest such).
+Instances come from corpus specs (see ``corpus.parse_corpus_spec``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable
 
 from .classify import (
-    MClosedSet,
-    downset_m_closed,
-    is_x_element,
-    jacobson_downset,
-    nil_downset,
+    CANONICAL_SETS,
+    canonical_sets,
+    distinct_sets,
+    join_escape,
+    prime_meet_facts,
     x_elements,
-    zero_divisor_set,
 )
-from .corpus import chain_lattice
 from .multiplicative import MultiplicativeLattice
-from .ringbridge import ideal_lattice_product, ideal_lattice_zn
 
 PROPERTIES = (
     "join-of-x-not-x",
@@ -43,66 +36,21 @@ class SearchHit:
         return f"{self.instance}: {self.detail}"
 
 
-def parse_corpus_spec(spec: str) -> Iterator[MultiplicativeLattice]:
-    kind, _, rest = spec.partition(":")
-    if kind == "zn":
-        for n in _parse_range(rest, spec):
-            yield ideal_lattice_zn(n)[0]
-    elif kind == "prod":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad corpus spec {spec!r}: expected prod:M,N")
-        yield ideal_lattice_product(_int(parts[0], spec), _int(parts[1], spec))[0]
-    elif kind == "chain":
-        for n in _parse_range(rest, spec):
-            yield chain_lattice(n, "meet")
-    else:
-        raise ValueError(f"bad corpus spec {spec!r}: unknown kind {kind!r}")
-
-
-def _parse_range(rest: str, spec: str) -> range:
-    if ".." in rest:
-        lo, _, hi = rest.partition("..")
-        return range(_int(lo, spec), _int(hi, spec) + 1)
-    n = _int(rest, spec)
-    return range(n, n + 1)
-
-
-def _int(s: str, spec: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ValueError(f"bad corpus spec {spec!r}: {s!r} is not an integer") from None
-
-
-def _canonical_sets(M: MultiplicativeLattice) -> list[MClosedSet]:
-    sets = [zero_divisor_set(M), nil_downset(M), jacobson_downset(M)]
-    out: dict[frozenset[int], MClosedSet] = {}
-    for X in sets:
-        out.setdefault(X.members, X)
-    return list(out.values())
-
-
 def _find_join_escape(M: MultiplicativeLattice) -> SearchHit | None:
-    for X in _canonical_sets(M):
-        xels = sorted(x_elements(M, X))
-        for i1, i2 in itertools.combinations(xels, 2):
-            join = M.join(i1, i2)
-            if not is_x_element(M, X, join):
-                return SearchHit(
-                    M.name,
-                    f"with X={X.name}, {M.label(i1)} and {M.label(i2)} are X-elements "
-                    f"but their join {M.label(join)} is not",
-                )
+    for X in distinct_sets(canonical_sets(M).values()):
+        pair = join_escape(M, X, x_elements(M, X))
+        if pair is not None:
+            i1, i2 = pair
+            return SearchHit(
+                M.name,
+                f"with X={X.name}, {M.label(i1)} and {M.label(i2)} are X-elements "
+                f"but their join {M.label(M.join(i1, i2))} is not",
+            )
     return None
 
 
 def _find_existence_equivalence(M: MultiplicativeLattice) -> SearchHit | None:
-    j = M.big_meet(M.prime_elements())
-    X = downset_m_closed(M, j)
-    exists = bool(x_elements(M, X))
-    j_prime = M.is_prime(j)
-    unique_min = len(M.min_primes()) == 1
+    j, exists, j_prime, unique_min = prime_meet_facts(M)
     if not exists == j_prime == unique_min:
         raise RuntimeError(
             f"{M.name}: existence/primeness/unique-minimal-prime equivalence broken "
@@ -117,33 +65,22 @@ def _find_existence_equivalence(M: MultiplicativeLattice) -> SearchHit | None:
     return None
 
 
-def _find_n_strictly_inside_r(M: MultiplicativeLattice) -> SearchHit | None:
-    r_els = x_elements(M, zero_divisor_set(M))
-    n_els = x_elements(M, nil_downset(M))
-    extra = sorted(r_els - n_els)
+def _find_n_strictly_inside(
+    M: MultiplicativeLattice, letter: str, noun: str
+) -> SearchHit | None:
+    """First element of the ``letter`` class (r or j) that is not an n-element."""
+    outer = x_elements(M, CANONICAL_SETS[letter](M))
+    extra = sorted(outer - x_elements(M, CANONICAL_SETS["n"](M)))
     if extra:
-        return SearchHit(
-            M.name, f"{M.label(extra[0])} is an r-element but not an n-element"
-        )
-    return None
-
-
-def _find_n_strictly_inside_j(M: MultiplicativeLattice) -> SearchHit | None:
-    j_els = x_elements(M, jacobson_downset(M))
-    n_els = x_elements(M, nil_downset(M))
-    extra = sorted(j_els - n_els)
-    if extra:
-        return SearchHit(
-            M.name, f"{M.label(extra[0])} is a J-element but not an n-element"
-        )
+        return SearchHit(M.name, f"{M.label(extra[0])} is {noun} but not an n-element")
     return None
 
 
 _FINDERS = {
     "join-of-x-not-x": _find_join_escape,
     "x-exists-iff-min-prime-unique": _find_existence_equivalence,
-    "n-strictly-inside-r": _find_n_strictly_inside_r,
-    "n-strictly-inside-j": _find_n_strictly_inside_j,
+    "n-strictly-inside-r": partial(_find_n_strictly_inside, letter="r", noun="an r-element"),
+    "n-strictly-inside-j": partial(_find_n_strictly_inside, letter="j", noun="a J-element"),
 }
 
 

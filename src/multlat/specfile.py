@@ -24,14 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .classify import (
-    MClosedSet,
-    downset_m_closed,
-    jacobson_downset,
-    make_m_closed,
-    nil_downset,
-    zero_divisor_set,
-)
+from .classify import CANONICAL_SETS, MClosedSet, downset_m_closed, make_m_closed
 from .multiplicative import (
     MultiplicativeLattice,
     attach_multiplication,
@@ -48,7 +41,8 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {msg}")
 
 
-XSET_KEYWORDS = ("zdiv", "nil-downset", "jrad-downset", "downset")
+XSET_KEYWORDS = {"zdiv": "r", "nil-downset": "n", "jrad-downset": "j"}
+"""xset keywords for the canonical sets, mapped to their ``CANONICAL_SETS`` letter."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ def parse_spec(text: str) -> LatticeSpecFile:
             if not values:
                 raise ParseError(lineno, colon + 2, "empty xset")
             first = values[0][0]
-            if first in ("zdiv", "nil-downset", "jrad-downset"):
+            if first in XSET_KEYWORDS:
                 if len(values) != 1:
                     raise ParseError(lineno, values[1][1], "keyword form takes no members")
                 xsets.append((set_name, first, ()))
@@ -188,12 +182,8 @@ def load_spec(spec: LatticeSpecFile) -> tuple[MultiplicativeLattice, dict[str, M
     for set_name, kind, payload in spec.xsets:
         if kind == "members":
             named[set_name] = make_m_closed(M, (index[v] for v in payload), set_name)
-        elif kind == "zdiv":
-            named[set_name] = zero_divisor_set(M, set_name)
-        elif kind == "nil-downset":
-            named[set_name] = nil_downset(M, set_name)
-        elif kind == "jrad-downset":
-            named[set_name] = jacobson_downset(M, set_name)
+        elif kind in XSET_KEYWORDS:
+            named[set_name] = CANONICAL_SETS[XSET_KEYWORDS[kind]](M, set_name)
         else:
             named[set_name] = downset_m_closed(M, index[payload[0]], set_name)
     return M, named

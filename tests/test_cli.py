@@ -96,6 +96,22 @@ def test_classify_bad_target(capsys):
     assert code == 2
 
 
+def test_classify_chain_target(capsys):
+    code, out, _ = run_cli(capsys, "classify", "chain:4")
+    assert code == 0 and "lattice chain-meet:4 (4 elements)" in out
+
+
+def test_single_instance_targets_reject_ranges(capsys):
+    for argv in (("classify", "zn:2..5"), ("verify", "chain:2..3"), ("cross-validate", "zn:6..7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "single instance" in err, argv
+
+
+def test_cross_validate_rejects_chains(capsys):
+    code, _, err = run_cli(capsys, "cross-validate", "chain:3")
+    assert code == 2 and "cross-validate takes" in err
+
+
 def test_classify_degenerate_target(capsys, tmp_path):
     f = tmp_path / "one.lat"
     f.write_text("elements: x\nmultiplication: meet\n")
@@ -171,6 +187,11 @@ def test_search_n_inside_j_needs_chains(capsys):
 def test_search_bad_corpus_spec(capsys):
     code, _, err = run_cli(capsys, "search", "--corpus", "what:9", "--find", "join-of-x-not-x")
     assert code == 2
+
+
+def test_search_empty_range_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--corpus", "zn:5..2", "--find", "join-of-x-not-x")
+    assert code == 2 and out == "" and "empty range" in err
 
 
 def test_search_mixed_corpus(capsys):

@@ -76,6 +76,12 @@ def test_prime_modulus_gives_two_chain():
     assert z7.is_domain()
 
 
+def test_divisors_match_brute_force():
+    for n in range(1, 3001):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0), n
+    assert divisors(100000007) == (1, 100000007)
+
+
 def test_modulus_must_be_at_least_two():
     with pytest.raises(ValueError):
         ideal_lattice_zn(1)
