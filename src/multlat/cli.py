@@ -11,11 +11,10 @@ property under test, so it exits 1 and only unreadable input exits 2.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from .classify import CANONICAL_SETS, MClosedSet, NotMClosed, NotXMultClosed, downset_m_closed
-from .corpus import CORPUS_KINDS, parse_corpus_spec
+from .corpus import CORPUS_KINDS, Instance, parse_corpus_spec
 from .dot import hasse_dot
 from .lemmas import lemma_suite
 from .multiplicative import (
@@ -45,12 +44,13 @@ XSET_ARGS = {"zdiv": "r", "nil": "n", "jrad": "j"}
 """``--x`` keywords for the canonical sets, mapped to their ``CANONICAL_SETS`` letter."""
 
 
-def _one_instance(spec: str) -> tuple[MultiplicativeLattice, object]:
-    """The single (lattice, ring model) pair a corpus spec names."""
-    found = list(itertools.islice(parse_corpus_spec(spec), 2))
-    if len(found) != 1:
+def _one_instance(spec: str) -> Instance:
+    """The single (lattice, ring model) pair a corpus spec names; a range is rejected unbuilt."""
+    parsed = parse_corpus_spec(spec)
+    if len(parsed) != 1:
         raise ValueError(f"bad target {spec!r}: expected a single instance, not a range")
-    return found[0]
+    (instance,) = parsed
+    return instance
 
 
 def resolve_target(target: str) -> tuple[MultiplicativeLattice, dict[str, MClosedSet]]:
@@ -120,12 +120,8 @@ def cmd_cross_validate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    def instances():
-        for spec in args.corpus:
-            for M, _ in parse_corpus_spec(spec):
-                yield M
-
-    hits = search_corpus(instances(), args.find)
+    parsed = [parse_corpus_spec(spec) for spec in args.corpus]  # every spec, before any build
+    hits = search_corpus((M for spec in parsed for M, _ in spec), args.find)
     for hit in hits:
         print(hit.render())
     if not hits:

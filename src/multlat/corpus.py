@@ -15,8 +15,9 @@ radical, and meet chains are the smallest such).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Sequence
 
 from .multiplicative import MultiplicativeLattice, meet_mult, trivial_mult
 from .order import lattice_from_pairs
@@ -73,28 +74,48 @@ def acceptance_corpus(zn_hi: int = 200) -> Iterator[MultiplicativeLattice]:
 
 CORPUS_KINDS = ("zn", "prod", "chain")
 
+Instance = tuple[MultiplicativeLattice, ZnIdealModel | ProductRingModel | None]
 
-def parse_corpus_spec(
-    spec: str,
-) -> Iterator[tuple[MultiplicativeLattice, ZnIdealModel | ProductRingModel | None]]:
-    """The (lattice, ring model) pairs a corpus spec names; the model is None for chains."""
+
+@dataclass(frozen=True)
+class CorpusSpec:
+    """A parsed corpus spec: ``len`` counts its instances without building any,
+    and iterating builds them in order as (lattice, ring model) pairs."""
+
+    build: Callable[[int], Instance]
+    args: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.args)
+
+    def __iter__(self) -> Iterator[Instance]:
+        return map(self.build, self.args)
+
+
+def parse_corpus_spec(spec: str) -> CorpusSpec:
+    """Parse a corpus spec; errors are raised here, before any instance is built.
+
+    The model is None for chains.
+    """
     kind, _, rest = spec.partition(":")
     if kind == "zn":
-        for n in _parse_range(rest, spec):
-            yield ideal_lattice_zn(n)
-    elif kind == "prod":
+        return CorpusSpec(ideal_lattice_zn, _parse_range(rest, spec))
+    if kind == "prod":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad corpus spec {spec!r}: expected prod:M,N")
-        yield ideal_lattice_product(_int(parts[0], spec), _int(parts[1], spec))
-    elif kind == "chain":
-        for n in _parse_range(rest, spec):
-            yield chain_lattice(n, "meet"), None
-    else:
-        raise ValueError(
-            f"bad corpus spec {spec!r}: unknown kind {kind!r}, expected one of "
-            f"{', '.join(CORPUS_KINDS)}"
-        )
+        m, n = _int(parts[0], spec), _int(parts[1], spec)
+        return CorpusSpec(partial(ideal_lattice_product, m), (n,))
+    if kind == "chain":
+        return CorpusSpec(_meet_chain, _parse_range(rest, spec))
+    raise ValueError(
+        f"bad corpus spec {spec!r}: unknown kind {kind!r}, expected one of "
+        f"{', '.join(CORPUS_KINDS)}"
+    )
+
+
+def _meet_chain(n: int) -> Instance:
+    return chain_lattice(n, "meet"), None
 
 
 def _parse_range(rest: str, spec: str) -> range:

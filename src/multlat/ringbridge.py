@@ -2,11 +2,24 @@
 
 The lattice side encodes ideals of Z_n by the divisors of n: containment is
 reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
-is gcd(d1*d2, n). The ring side never touches that encoding: it scans actual
-ring elements (annihilators, nilpotency, membership in the intersection of
-the inclusion-maximal ideals), so agreement between the two classifications
-is a genuine two-route check rather than one algorithm tested against
-itself.
+is gcd(d1*d2, n). The ring side never touches that encoding: it works on
+actual ring elements through ``ring_elements``, ``mul``, ``zero``,
+``ideal_subset`` and ``proper_indices``, so agreement between the two
+classifications is a genuine two-route check rather than one algorithm
+tested against itself.
+
+Each model computes its ring sets once, on first use, and keeps them on the
+instance: the element tuple, the zero divisors (elements with a nonzero
+annihilator, by an element scan), the nilpotents (by powering) and the
+Jacobson radical (the intersection of the inclusion-maximal ideals, as
+subsets). The r-, n- and J-ideal definitions share one shape, "ab in I and a
+outside X force b in I", so one element-level scan per ideal serves all
+three. Call a *bad* for I when a*b is in I for some b outside I; then I is
+an r-, n- or J-ideal exactly when every bad a lies inside the zero
+divisors, the nilpotents or the Jacobson radical. Whether a is bad is
+decided at most once per ideal, by multiplying a with each element outside
+I, and only for the a outside the set being tested, up to the first bad
+one.
 
 ``cross_validate`` runs both routes over every proper ideal and raises
 CrossValidationMismatch on any disagreement.
@@ -15,7 +28,8 @@ CrossValidationMismatch on any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd
 
 from .classify import canonical_sets, is_x_element
@@ -66,8 +80,37 @@ def _ideal_label(d: int, modulus: int) -> str:
     return "(0)" if d == modulus else f"({d})"
 
 
+class _RingSets:
+    """Per-model ring data, computed on first use and kept on the instance.
+
+    ``cached_property`` writes to the instance ``__dict__`` directly, so it
+    works on the frozen model dataclasses; their equality and hash read only
+    the fields.
+    """
+
+    @cached_property
+    def _elements(self) -> tuple:
+        return tuple(self.ring_elements())
+
+    @cached_property
+    def _zdiv(self) -> frozenset:
+        return ring_zero_divisors(self)
+
+    @cached_property
+    def _nil(self) -> frozenset:
+        return ring_nilpotents(self)
+
+    @cached_property
+    def _jac(self) -> frozenset:
+        return ring_jacobson(self)
+
+    @cached_property
+    def _bad(self) -> dict[int, dict]:
+        return {}  # ideal index -> {a: whether a is a bad multiplier}, as far as scanned
+
+
 @dataclass(frozen=True)
-class ZnIdealModel:
+class ZnIdealModel(_RingSets):
     """Ideals of Z_n, indexed by the ascending divisors of n."""
 
     modulus: int
@@ -84,9 +127,6 @@ class ZnIdealModel:
     @property
     def zero(self) -> int:
         return 0
-
-    def in_ideal(self, x: int, index: int) -> bool:
-        return x % self.divisors[index] == 0
 
     def ideal_subset(self, index: int) -> frozenset[int]:
         d = self.divisors[index]
@@ -108,7 +148,7 @@ class ZnIdealModel:
 
 
 @dataclass(frozen=True)
-class ProductRingModel:
+class ProductRingModel(_RingSets):
     """Ideals of Z_m x Z_n: all pairs of component ideals, componentwise."""
 
     left: int
@@ -124,10 +164,6 @@ class ProductRingModel:
     @property
     def zero(self) -> tuple[int, int]:
         return (0, 0)
-
-    def in_ideal(self, x: tuple[int, int], index: int) -> bool:
-        d1, d2 = self.pairs[index]
-        return x[0] % d1 == 0 and x[1] % d2 == 0
 
     def ideal_subset(self, index: int) -> frozenset[tuple[int, int]]:
         d1, d2 = self.pairs[index]
@@ -145,7 +181,12 @@ class ProductRingModel:
         return [i for i, p in enumerate(self.pairs) if p != (1, 1)]
 
 
-@lru_cache(maxsize=None)
+# Lattices each builder keeps (with their models' ring sets): enough for
+# zn:2..200 and the 36 stock products, while a long search stays bounded.
+_LATTICE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     """The ideal lattice of Z_n as a validated multiplicative lattice."""
     if n < 2:
@@ -164,7 +205,7 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     return M, model
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def ideal_lattice_product(m: int, n: int) -> tuple[MultiplicativeLattice, ProductRingModel]:
     """The ideal lattice of Z_m x Z_n (componentwise divisor pairs)."""
     if m < 2 or n < 2:
@@ -195,15 +236,18 @@ def ideal_lattice_product(m: int, n: int) -> tuple[MultiplicativeLattice, Produc
 # -- ring-side classification (element scans only) ----------------------------
 
 
-def _annihilator_is_zero(model, a) -> bool:
+def ring_zero_divisors(model) -> frozenset:
+    """The a with a*x = 0 for some nonzero x (zero included)."""
     zero = model.zero
-    return all(model.mul(a, x) != zero for x in model.ring_elements() if x != zero)
+    elements = model._elements
+    nonzero = [x for x in elements if x != zero]
+    return frozenset(a for a in elements if zero in map(model.mul, repeat(a), nonzero))
 
 
 def ring_nilpotents(model) -> frozenset:
     zero = model.zero
     out = set()
-    for a in model.ring_elements():
+    for a in model._elements:
         seen = set()
         cur = a
         while cur not in seen:
@@ -226,42 +270,41 @@ def ring_jacobson(model) -> frozenset:
     return out
 
 
-def ring_zero_divisors(model) -> frozenset:
-    zero = model.zero
-    return frozenset(
-        a
-        for a in model.ring_elements()
-        if any(model.mul(a, x) == zero for x in model.ring_elements() if x != zero)
-    )
+def _bad_inside(model, index: int, xset: frozenset) -> bool:
+    """Whether every bad multiplier of ideal I = ``index`` lies in ``xset``.
 
-
-def _ring_is_ideal_class(model, index: int, exempt) -> bool:
-    # Shared shape of the three definitions: products a*b landing in the
-    # ideal with a outside the exempt set must have b in the ideal.
-    for a in model.ring_elements():
-        if exempt(a):
+    a is bad when a*b is in I for some b outside I. Only the a outside
+    ``xset`` are tested, in element order up to the first bad one, and each
+    verdict is kept on the model, so the three classes share one scan of
+    each a against R minus I.
+    """
+    ideal = model.ideal_subset(index)
+    outside = [b for b in model._elements if b not in ideal]
+    bad = model._bad.setdefault(index, {})
+    mul = model.mul
+    for a in model._elements:
+        if a in xset:
             continue
-        for b in model.ring_elements():
-            if model.in_ideal(model.mul(a, b), index) and not model.in_ideal(b, index):
-                return False
+        if a not in bad:
+            bad[a] = not ideal.isdisjoint(map(mul, repeat(a), outside))
+        if bad[a]:
+            return False
     return True
 
 
 def ring_is_r_ideal(model, index: int) -> bool:
-    """ab in I with ann(a) zero forces b in I (a scanned for annihilators)."""
-    return _ring_is_ideal_class(model, index, lambda a: not _annihilator_is_zero(model, a))
+    """ab in I with a not a zero divisor (zero annihilator) forces b in I."""
+    return _bad_inside(model, index, model._zdiv)
 
 
 def ring_is_n_ideal(model, index: int) -> bool:
     """ab in I with a not nilpotent forces b in I."""
-    nil = ring_nilpotents(model)
-    return _ring_is_ideal_class(model, index, lambda a: a in nil)
+    return _bad_inside(model, index, model._nil)
 
 
 def ring_is_j_ideal(model, index: int) -> bool:
     """ab in I with a outside the Jacobson radical forces b in I."""
-    jac = ring_jacobson(model)
-    return _ring_is_ideal_class(model, index, lambda a: a in jac)
+    return _bad_inside(model, index, model._jac)
 
 
 # -- the two-route comparison --------------------------------------------------

@@ -5,6 +5,7 @@ import re
 
 from multlat.cli import main
 from multlat import report_from_json
+from multlat.ringbridge import ideal_lattice_product, ideal_lattice_zn
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,28 @@ def test_search_bad_corpus_spec(capsys):
 def test_search_empty_range_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "search", "--corpus", "zn:5..2", "--find", "join-of-x-not-x")
     assert code == 2 and out == "" and "empty range" in err
+
+
+def test_bad_specs_fail_before_any_lattice_is_built(capsys):
+    for argv in (
+        ("search", "--corpus", "zn:2..1000", "--corpus", "zn:5..2", "--find", "join-of-x-not-x"),
+        ("classify", "zn:55440..55441"),
+    ):
+        ideal_lattice_zn.cache_clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert ideal_lattice_zn.cache_info().misses == 0, argv
+
+
+def test_long_search_keeps_the_lattice_caches_bounded(capsys):
+    bound = ideal_lattice_zn.cache_info().maxsize
+    assert bound is not None and ideal_lattice_product.cache_info().maxsize == bound
+    ideal_lattice_zn.cache_clear()
+    code, _, _ = run_cli(capsys, "search", "--corpus", f"zn:2..{bound + 200}",
+                         "--find", "n-strictly-inside-r")
+    assert code == 0
+    info = ideal_lattice_zn.cache_info()
+    assert info.misses == bound + 199 and info.currsize == bound
 
 
 def test_search_mixed_corpus(capsys):

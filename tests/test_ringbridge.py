@@ -5,6 +5,7 @@ products are computed by closing generator sets under addition, so none of
 the gcd/lcm shortcuts being tested appear on the oracle side.
 """
 
+import dataclasses
 from math import gcd
 
 import pytest
@@ -24,6 +25,8 @@ from multlat import (
 )
 from multlat.corpus import PRODUCT_MODULI
 from multlat.ringbridge import (
+    ProductRingModel,
+    ZnIdealModel,
     divisors,
     ring_jacobson,
     ring_nilpotents,
@@ -167,6 +170,32 @@ def test_forced_mismatch_is_detected(monkeypatch):
         rb.cross_validate_zn(12)
 
 
+@pytest.mark.parametrize("which", ["r", "j"])
+def test_forced_mismatch_is_detected_for_r_and_j(monkeypatch, which):
+    import multlat.ringbridge as rb
+
+    name = f"ring_is_{which}_ideal"
+    real = getattr(rb, name)
+    monkeypatch.setattr(rb, name, lambda model, idx: not real(model, idx))
+    with pytest.raises(CrossValidationMismatch) as caught:
+        rb.cross_validate_zn(12)
+    assert caught.value.which == which
+
+
+@pytest.mark.parametrize("model_class", [ZnIdealModel, ProductRingModel])
+def test_cross_validate_lists_the_ring_once_per_model(monkeypatch, model_class):
+    import multlat.ringbridge as rb
+
+    calls = []
+    real = model_class.ring_elements
+    monkeypatch.setattr(model_class, "ring_elements", lambda self: calls.append(1) or real(self))
+    M, model = ideal_lattice_zn(36) if model_class is ZnIdealModel else ideal_lattice_product(4, 9)
+    fresh = dataclasses.replace(model)  # same ring, nothing cached yet
+    rb.cross_validate(M, fresh)
+    rb.cross_validate(M, fresh)
+    assert len(calls) == 1
+
+
 def test_is_prime_power():
     powers = {n for n in range(2, 130) if is_prime_power(n)}
     assert {2, 3, 4, 5, 8, 9, 27, 32, 121, 125, 127, 128} <= powers
@@ -184,3 +213,94 @@ def test_cross_validation_property(n):
 @settings(max_examples=20, deadline=None)
 def test_cross_validation_products_property(m, n):
     cross_validate_product(m, n)
+
+
+# -- differential check of the ring oracle against the definitions ------------------
+#
+# The reference scans each definition literally, as the oracle once did: per
+# ideal it recomputes the nilpotents and the Jacobson radical, rescans the
+# ring for the annihilator of every a, and loops over every pair (a, b).
+
+
+def reference_nilpotents(model, elements):
+    zero = model.zero
+    out = set()
+    for a in elements:
+        seen = set()
+        cur = a
+        while cur not in seen:
+            seen.add(cur)
+            cur = model.mul(cur, a)
+        if zero in seen:
+            out.add(a)
+    return frozenset(out)
+
+
+def reference_jacobson(model):
+    proper = [model.ideal_subset(i) for i in model.proper_indices()]
+    maximal = [s for s in proper if not any(t != s and s < t for t in proper)]
+    out = maximal[0]
+    for s in maximal[1:]:
+        out &= s
+    return out
+
+
+def reference_annihilator_is_zero(model, elements, a):
+    zero = model.zero
+    return all(model.mul(a, x) != zero for x in elements if x != zero)
+
+
+def reference_ideal_class(model, elements, index, exempt):
+    ideal = model.ideal_subset(index)
+    for a in elements:
+        if exempt(a):
+            continue
+        for b in elements:
+            if model.mul(a, b) in ideal and b not in ideal:
+                return False
+    return True
+
+
+def reference_flags(model, index):
+    elements = list(model.ring_elements())
+    nil = reference_nilpotents(model, elements)
+    jac = reference_jacobson(model)
+    return (
+        reference_ideal_class(
+            model, elements, index,
+            lambda a: not reference_annihilator_is_zero(model, elements, a),
+        ),
+        reference_ideal_class(model, elements, index, lambda a: a in nil),
+        reference_ideal_class(model, elements, index, lambda a: a in jac),
+    )
+
+
+ORACLE = {"r": ring_is_r_ideal, "n": ring_is_n_ideal, "j": ring_is_j_ideal}
+
+
+def assert_oracle_matches_reference(model):
+    want = {idx: reference_flags(model, idx) for idx in model.proper_indices()}
+    # Fresh copies, so that no verdict is cached; the three classes share
+    # verdicts per ideal, so they are asked in two orders.
+    for order in ("rnj", "jnr"):
+        fresh = dataclasses.replace(model)
+        for idx, flags in want.items():
+            got = {which: ORACLE[which](fresh, idx) for which in order}
+            assert (got["r"], got["n"], got["j"]) == flags, (model, idx, order)
+
+
+@pytest.mark.parametrize("n", range(2, 121))
+def test_oracle_matches_reference_on_zn(n):
+    assert_oracle_matches_reference(ideal_lattice_zn(n)[1])
+
+
+@pytest.mark.parametrize("m", PRODUCT_MODULI)
+@pytest.mark.parametrize("n", PRODUCT_MODULI)
+def test_oracle_matches_reference_on_stock_products(m, n):
+    assert_oracle_matches_reference(ideal_lattice_product(m, n)[1])
+
+
+@given(m=st.integers(2, 30), n=st.integers(2, 30))
+@settings(max_examples=6, deadline=None)
+def test_oracle_matches_reference_on_products_property(m, n):
+    assert_oracle_matches_reference(ideal_lattice_product(m, n)[1])
