@@ -33,7 +33,7 @@ def main() -> int:
                 rows = [list(r) for r in M.table]
                 rows[i][j] = v
                 try:
-                    attach_multiplication(M.lattice, rows)
+                    attach_multiplication(M, rows)
                 except AxiomViolation as exc:
                     rejected_by[exc.axiom] += 1
                 else:

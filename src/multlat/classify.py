@@ -51,10 +51,14 @@ class MClosedSet:
     lattice: MultiplicativeLattice = field(compare=False)
     members: frozenset[int]
     name: str = "X"
+    _mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_mask", mask_of(self.members))
 
     @property
     def mask(self) -> int:
-        return mask_of(self.members)
+        return self._mask
 
     def __contains__(self, a: int) -> bool:
         return a in self.members
@@ -215,7 +219,7 @@ def x_mult_closed_witness(
     ("escapes", a1, a2, prod) when a1 outside X and a2 a member multiply out.
     """
     amask = mask_of(members)
-    outside = M.lattice.full_mask & ~X.mask
+    outside = M.full_mask & ~X.mask
     missing = outside & ~amask
     if missing:
         return "missing", (missing & -missing).bit_length() - 1
@@ -239,10 +243,14 @@ class XMultClosedSet:
     lattice: MultiplicativeLattice = field(compare=False)
     xset: MClosedSet
     members: frozenset[int]
+    _mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_mask", mask_of(self.members))
 
     @property
     def mask(self) -> int:
-        return mask_of(self.members)
+        return self._mask
 
 
 def make_x_mult_closed(
@@ -264,7 +272,7 @@ def complement_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int)
     """
     if i == M.top:
         raise ValueError("i must be proper")
-    complement = frozenset(iter_bits(M.lattice.full_mask & ~M.down_mask(i)))
+    complement = frozenset(iter_bits(M.full_mask & ~M.down_mask(i)))
     return is_x_mult_closed(M, X, complement)
 
 
@@ -283,7 +291,7 @@ def maximal_x_avoiding(
     if A.xset.members != X.members:
         raise ValueError("A was validated against a different set than X")
     amask = A.mask
-    down = M.lattice.order.down
+    down = M.order.down
     for t in iter_bits(amask):
         if down[a] >> t & 1:
             raise PreconditionViolated(t)

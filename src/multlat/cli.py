@@ -69,7 +69,7 @@ def resolve_xset(
     if arg.startswith("downset:"):
         label = arg.split(":", 1)[1]
         try:
-            return downset_m_closed(M, M.lattice.index_of(label))
+            return downset_m_closed(M, M.index_of(label))
         except ValueError:
             raise ValueError(f"unknown element label {label!r}") from None
     raise ValueError(

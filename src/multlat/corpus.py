@@ -21,7 +21,13 @@ from typing import Callable, Iterator, Sequence
 
 from .multiplicative import MultiplicativeLattice, meet_mult, trivial_mult
 from .order import lattice_from_pairs
-from .ringbridge import ProductRingModel, ZnIdealModel, ideal_lattice_product, ideal_lattice_zn
+from .ringbridge import (
+    _LATTICE_CACHE_SIZE,
+    ProductRingModel,
+    ZnIdealModel,
+    ideal_lattice_product,
+    ideal_lattice_zn,
+)
 
 KITE_LABELS = ("0", "a", "b", "c", "d", "1")
 KITE_COVERS = ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (4, 5))
@@ -34,7 +40,7 @@ def kite_lattice() -> MultiplicativeLattice:
     return trivial_mult(lattice, name="K")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def chain_lattice(n: int, mult: str = "trivial") -> MultiplicativeLattice:
     """A chain c0 < c1 < ... with trivial or meet multiplication."""
     if n < 1:

@@ -38,7 +38,7 @@ def hasse_dot(M: MultiplicativeLattice, marked_sets: tuple[MClosedSet, ...] = ()
             attrs.append("style=filled")
             attrs.append(f"fillcolor={color}")
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for x, y in M.lattice.covers():
+    for x, y in M.covers():
         lines.append(f"  n{x} -> n{y};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,10 +4,10 @@
 exhaustively: commutativity, associativity, distribution of the product over
 binary joins plus annihilation of bottom (which together give distribution
 over every finite join), and top acting as identity. A table that survives
-is wrapped in :class:`MultiplicativeLattice`, which precomputes the data the
-classification sweeps lean on: radicals (by two independent formulas,
-cross-asserted), prime/maximal element sets, and per-element "product lands
-below" masks.
+becomes a :class:`MultiplicativeLattice`: a :class:`FiniteLattice` with the
+table and a name added, which precomputes the data the classification sweeps
+lean on: radicals (by two independent formulas, cross-asserted),
+prime/maximal element sets, and per-element "product lands below" masks.
 
 Every query is pure; negative classification answers expose the first
 violating tuple in element-index order.
@@ -15,6 +15,7 @@ violating tuple in element-index order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -52,68 +53,21 @@ class DegenerateLattice(ValueError):
     """The one-element lattice has no proper elements to classify."""
 
 
-class MultiplicativeLattice:
+@dataclass(frozen=True, eq=False)
+class MultiplicativeLattice(FiniteLattice):
     """A finite lattice together with a validated multiplication table.
 
-    Immutable after construction; build through :func:`attach_multiplication`
-    (or the ``trivial_mult`` / ``meet_mult`` shortcuts).
+    Immutable; build through :func:`attach_multiplication` (or the
+    ``trivial_mult`` / ``meet_mult`` shortcuts). Equality is identity.
     """
 
-    def __init__(self, lattice: FiniteLattice, table: tuple[tuple[int, ...], ...], name: str = "L"):
-        self.lattice = lattice
-        self.table = table
-        self.name = name
-
-    # -- lattice delegation ------------------------------------------------
+    table: tuple[tuple[int, ...], ...]
+    name: str = "L"
 
     @property
-    def size(self) -> int:
-        return self.lattice.size
-
-    @property
-    def bottom(self) -> int:
-        return self.lattice.bottom
-
-    @property
-    def top(self) -> int:
-        return self.lattice.top
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.lattice.labels
-
-    def label(self, a: int) -> str:
-        return self.lattice.labels[a]
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.lattice.leq(x, y)
-
-    def lt(self, x: int, y: int) -> bool:
-        return self.lattice.lt(x, y)
-
-    def meet(self, x: int, y: int) -> int:
-        return self.lattice.meet(x, y)
-
-    def join(self, x: int, y: int) -> int:
-        return self.lattice.join(x, y)
-
-    def big_meet(self, items: Iterable[int]) -> int:
-        return self.lattice.big_meet(items)
-
-    def big_join(self, items: Iterable[int]) -> int:
-        return self.lattice.big_join(items)
-
-    def down_set(self, a: int) -> frozenset[int]:
-        return self.lattice.down_set(a)
-
-    def down_mask(self, a: int) -> int:
-        return self.lattice.down_mask(a)
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def proper_elements(self) -> list[int]:
-        return [a for a in range(self.size) if a != self.top]
+    def lattice(self) -> MultiplicativeLattice:
+        """This instance; kept for callers such as ``meet_mult(M.lattice)`` in perfbench's tests."""
+        return self
 
     # -- multiplication ----------------------------------------------------
 
@@ -148,7 +102,7 @@ class MultiplicativeLattice:
     def _prod_below(self) -> tuple[tuple[int, ...], ...]:
         # _prod_below[a][i] = mask of b with a*b <= i
         n = self.size
-        up = self.lattice.order.up
+        up = self.order.up
         rows = []
         for a in range(n):
             acc = [0] * n
@@ -193,7 +147,7 @@ class MultiplicativeLattice:
         # over a. A disagreement means the table validation is broken.
         n = self.size
         closures = [self.power_closure(x) for x in range(n)]
-        down = self.lattice.order.down
+        down = self.order.down
         primes = self._prime_mask
         out = []
         for a in range(n):
@@ -234,7 +188,7 @@ class MultiplicativeLattice:
 
         Properness is not examined here; ``is_prime`` adds it.
         """
-        down_p = self.lattice.order.down[p]
+        down_p = self.order.down[p]
         return self.escape_witness(p, down_p, down_p)
 
     def is_prime(self, p: int) -> bool:
@@ -253,7 +207,7 @@ class MultiplicativeLattice:
 
     def primary_witness(self, i: int) -> tuple[int, int] | None:
         """First (a, b) with a*b <= i, a not<= i and b not<= radical(i)."""
-        down = self.lattice.order.down
+        down = self.order.down
         return self.escape_witness(i, down[i], down[self.radical(i)])
 
     def is_primary(self, i: int) -> bool:
@@ -261,7 +215,7 @@ class MultiplicativeLattice:
 
     def maximal_witness(self, m: int) -> int | None:
         """An element strictly between m and top, if one exists."""
-        strictly_between = self.lattice.order.up[m] & ~(1 << m) & ~(1 << self.top)
+        strictly_between = self.order.up[m] & ~(1 << m) & ~(1 << self.top)
         if strictly_between:
             return (strictly_between & -strictly_between).bit_length() - 1
         return None
@@ -286,7 +240,7 @@ class MultiplicativeLattice:
 
     def min_primes(self) -> frozenset[int]:
         primes = self._prime_mask
-        down = self.lattice.order.down
+        down = self.order.down
         return frozenset(
             p for p in iter_bits(primes) if down[p] & primes == 1 << p
         )
@@ -364,7 +318,8 @@ def attach_multiplication(
                 raise AxiomViolation(
                     "product-below-meet", (a, b), f"a*b = {rows[a][b]} not <= a^b"
                 )
-    return MultiplicativeLattice(lattice, rows, name)
+    base = {f.name: getattr(lattice, f.name) for f in fields(FiniteLattice)}
+    return MultiplicativeLattice(**base, table=rows, name=name)
 
 
 def trivial_mult(lattice: FiniteLattice, name: str = "L") -> MultiplicativeLattice:

@@ -90,9 +90,9 @@ def build_order(size: int, pairs: Iterable[tuple[int, int]]) -> PartialOrder:
     return PartialOrder(size, tuple(up), tuple(down))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """A validated finite bounded lattice with precomputed meet/join tables."""
+    """A validated finite bounded lattice with precomputed meet/join tables; equality is identity."""
 
     order: PartialOrder
     bottom: int
@@ -108,6 +108,12 @@ class FiniteLattice:
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
+
+    def label(self, a: int) -> str:
+        return self.labels[a]
+
+    def proper_elements(self) -> list[int]:
+        return [a for a in range(self.size) if a != self.top]
 
     def leq(self, x: int, y: int) -> bool:
         return self.order.leq(x, y)

@@ -1,7 +1,8 @@
 """Per-element classification reports with machine and text renderings.
 
-The machine form is JSON with a fixed field order; parsing it back yields a
-report equal to the original (the dump of the parse is byte-identical).
+The machine form is JSON whose keys follow the dataclass field order, with
+absent witnesses and notes left out; parsing it back yields a report equal to
+the original (the dump of the parse is byte-identical).
 Every negative flag carries either a violating pair (re-checkable against
 the definitions) or the note "improper" for the top element.
 """
@@ -9,7 +10,7 @@ the definitions) or the note "improper" for the top element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .classify import MClosedSet, canonical_sets, x_witness
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
@@ -120,77 +121,29 @@ def _flag(M: MultiplicativeLattice, improper: bool, witness) -> FlagResult:
 # -- machine form ---------------------------------------------------------------
 
 
-def report_to_dict(report: ClassificationReport) -> dict:
-    def flag_dict(f: FlagResult) -> dict:
-        out: dict = {"holds": f.holds}
-        if f.witness is not None:
-            out["witness"] = list(f.witness)
-        if f.note is not None:
-            out["note"] = f.note
-        return out
-
-    return {
-        "name": report.name,
-        "elements": list(report.elements),
-        "summary": {
-            "maximal": list(report.summary.maximal),
-            "jacobson": report.summary.jacobson,
-            "min_primes": list(report.summary.min_primes),
-            "nilpotents": list(report.summary.nilpotents),
-            "zero_divisors": list(report.summary.zero_divisors),
-            "radical_of_bottom": report.summary.radical_of_bottom,
-            "local": report.summary.local,
-            "domain": report.summary.domain,
-            "reduced": report.summary.reduced,
-        },
-        "xsets": {name: list(members) for name, members in report.xsets.items()},
-        "rows": [
-            {
-                "element": row.element,
-                "flags": {name: flag_dict(f) for name, f in row.flags.items()},
-            }
-            for row in report.rows
-        ],
-    }
+def _without_none(pairs: list[tuple[str, object]]) -> dict:
+    # Only FlagResult.witness and FlagResult.note are ever None.
+    return {k: v for k, v in pairs if v is not None}
 
 
-def report_from_dict(data: dict) -> ClassificationReport:
-    def flag_from(d: dict) -> FlagResult:
-        witness = tuple(d["witness"]) if "witness" in d else None
-        return FlagResult(d["holds"], witness, d.get("note"))
-
-    s = data["summary"]
-    return ClassificationReport(
-        name=data["name"],
-        elements=tuple(data["elements"]),
-        summary=LatticeSummary(
-            maximal=tuple(s["maximal"]),
-            jacobson=s["jacobson"],
-            min_primes=tuple(s["min_primes"]),
-            nilpotents=tuple(s["nilpotents"]),
-            zero_divisors=tuple(s["zero_divisors"]),
-            radical_of_bottom=s["radical_of_bottom"],
-            local=s["local"],
-            domain=s["domain"],
-            reduced=s["reduced"],
-        ),
-        xsets={name: tuple(members) for name, members in data["xsets"].items()},
-        rows=tuple(
-            ElementReport(
-                row["element"],
-                {name: flag_from(f) for name, f in row["flags"].items()},
-            )
-            for row in data["rows"]
-        ),
-    )
+def _tuples(d: dict) -> dict:
+    """``d`` with its list values turned back into the tuples a report holds."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
 def report_to_json(report: ClassificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    return json.dumps(asdict(report, dict_factory=_without_none), indent=2)
 
 
 def report_from_json(text: str) -> ClassificationReport:
-    return report_from_dict(json.loads(text))
+    data = _tuples(json.loads(text))
+    data["summary"] = LatticeSummary(**_tuples(data["summary"]))
+    data["xsets"] = _tuples(data["xsets"])
+    data["rows"] = tuple(
+        ElementReport(row["element"], {k: FlagResult(**_tuples(f)) for k, f in row["flags"].items()})
+        for row in data["rows"]
+    )
+    return ClassificationReport(**data)
 
 
 def render_report(report: ClassificationReport) -> str:

@@ -201,7 +201,7 @@ def load_path(path) -> tuple[MultiplicativeLattice, dict[str, MClosedSet]]:
 def render_spec(M: MultiplicativeLattice, named: dict[str, MClosedSet] | None = None) -> str:
     """Emit a spec that loads back to the identical lattice and sets."""
     lines = [f"name: {M.name}", f"elements: {' '.join(M.labels)}"]
-    for x, y in M.lattice.covers():
+    for x, y in M.covers():
         lines.append(f"order: {M.label(x)} < {M.label(y)}")
     lines.append("multiplication: table")
     for a in range(M.size):

@@ -7,10 +7,12 @@ from multlat import (
     NotMClosed,
     NotXMultClosed,
     PreconditionViolated,
+    chain_lattice,
     check_report_witnesses,
     classify_lattice,
     complement_characterization,
     downset_m_closed,
+    ideal_lattice_product,
     ideal_lattice_zn,
     is_j_element,
     is_n_element,
@@ -18,6 +20,7 @@ from multlat import (
     is_x_element,
     is_x_mult_closed,
     jacobson_downset,
+    kite_lattice,
     lattice_from_pairs,
     make_m_closed,
     make_x_mult_closed,
@@ -300,13 +303,35 @@ def test_maximal_avoiding_result_is_maximal():
 # -- classification reports -----------------------------------------------------------
 
 
-def test_report_round_trip(z12):
-    xsets = (nil_downset(z12), downset_m_closed(z12, div_index(z12, "(2)")))
-    report = classify_lattice(z12, xsets)
+ROUND_TRIP_CASES = {
+    "z12": lambda: _with_sets(
+        ideal_lattice_zn(12)[0],
+        nil_downset,
+        lambda M: downset_m_closed(M, div_index(M, "(2)")),
+    ),
+    # The trivial multiplication gives witnesses on every proper element.
+    "K": lambda: _with_sets(kite_lattice(), nil_downset),
+    "chain-meet:5": lambda: _with_sets(chain_lattice(5, "meet"), jacobson_downset),
+    "prod:4,9": lambda: _with_sets(ideal_lattice_product(4, 9)[0], zero_divisor_set),
+}
+
+
+def _with_sets(M, *make_sets):
+    return M, tuple(make(M) for make in make_sets)
+
+
+@pytest.mark.parametrize("case", ROUND_TRIP_CASES)
+def test_report_round_trip(case):
+    M, xsets = ROUND_TRIP_CASES[case]()
+    report = classify_lattice(M, xsets)
     dumped = report_to_json(report)
     parsed = report_from_json(dumped)
     assert parsed == report
     assert report_to_json(parsed) == dumped
+    assert "null" not in dumped  # absent witnesses and notes are left out
+    assert '"note": "improper"' in dumped
+    if case in ("z12", "K"):
+        assert '"witness": [' in dumped
 
 
 def test_report_witnesses_recheck(z12, z15, kite):

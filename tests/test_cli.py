@@ -5,7 +5,8 @@ import re
 
 from multlat.cli import main
 from multlat import report_from_json
-from multlat.ringbridge import ideal_lattice_product, ideal_lattice_zn
+from multlat.corpus import chain_lattice
+from multlat.ringbridge import _LATTICE_CACHE_SIZE, ideal_lattice_product, ideal_lattice_zn
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +216,10 @@ def test_long_search_keeps_the_lattice_caches_bounded(capsys):
     assert code == 0
     info = ideal_lattice_zn.cache_info()
     assert info.misses == bound + 199 and info.currsize == bound
+
+
+def test_chain_lattice_cache_has_the_ring_lattice_bound():
+    assert chain_lattice.cache_info().maxsize == _LATTICE_CACHE_SIZE
 
 
 def test_search_mixed_corpus(capsys):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from multlat import (
     AxiomViolation,
     DegenerateLattice,
+    FiniteLattice,
+    MultiplicativeLattice,
     TopJoinReducible,
     attach_multiplication,
     ideal_lattice_zn,
@@ -75,6 +77,17 @@ def test_meet_mult_valid_on_distributive_invalid_on_m3():
 def test_trivial_mult_on_singleton():
     M = trivial_mult(lattice_from_pairs(1, []))
     assert M.product(0, 0) == 0
+
+
+def test_multiplicative_lattice_is_a_finite_lattice():
+    chain = lattice_from_pairs(3, [(0, 1), (1, 2)], "0 m 1".split())
+    by_meet, trivial = meet_mult(chain), trivial_mult(chain)
+    assert isinstance(by_meet, FiniteLattice)
+    assert by_meet.product(1, 1) == 1 and trivial.product(1, 1) == 0
+    assert by_meet != trivial  # one lattice, two tables
+    again = attach_multiplication(trivial, trivial.table, "again")
+    assert type(again) is MultiplicativeLattice and again.name == "again"
+    assert (again.order, again.labels, again.table) == (trivial.order, trivial.labels, trivial.table)
 
 
 def test_bad_entry_rejected(z12):
