@@ -27,7 +27,7 @@ from .order import CycleError, NotALattice
 from .report import classify_lattice, render_report, report_to_json
 from .ringbridge import CrossValidationMismatch, cross_validate
 from .search import PROPERTIES, search_corpus
-from .specfile import ParseError, load_path
+from .specfile import load_path
 
 _STRUCTURE_ERRORS = (
     CycleError,
@@ -186,16 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         args.corpus = ["zn:2..200"]
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _STRUCTURE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError and _STRUCTURE_ERRORS subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

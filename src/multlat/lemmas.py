@@ -9,7 +9,9 @@ not an X-element (such pairs exist in some lattices and not others, so
 finding none is not a failure).
 
 The per-set checks run for each given set and for the canonical sets (zero
-divisors, nil down-set, Jacobson down-set, prime-meet down-set).
+divisors, nil down-set, Jacobson down-set, prime-meet down-set). The suite
+decides the X-elements of each distinct set once and hands them to every
+check that reads them, the global ones included.
 """
 
 from __future__ import annotations
@@ -29,30 +31,11 @@ from .classify import (
     prime_meet_facts,
     principal_generator,
     residual_characterization,
-    x_elements,
     x_witness,
 )
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
 from .order import iter_bits
 
-CHECK_TITLES = {
-    "L1": "X-elements sit inside X; for X a principal down-set of its own join, X-element = prime",
-    "L2": "X-elements carry over to any larger M-closed set",
-    "L3": "in a local lattice every proper element is an X-element for the maximal down-set",
-    "L4": "if every proper element is an X-element for a proper down-set, its generator is the unique maximal",
-    "L5": "meets of nonempty families of X-elements are X-elements",
-    "L6": "search for X-element pairs whose join is not an X-element (informational)",
-    "L7": "four equivalent characterizations of X-elements via residuals agree",
-    "L8": "maximal X-elements are prime",
-    "L9": "for a proper down-set: a prime above the generator, or any maximal, is an X-element iff it equals the generator",
-    "L10": "X-elements exist for the prime-meet down-set iff the prime meet is prime iff there is a unique minimal prime",
-    "L11": "for the prime-meet down-set: X-element iff primary with radical the prime meet",
-    "L12": "for the Jacobson down-set: X-element iff the two-part residual condition over maximal elements above",
-    "L13": "multiplying by a fixed element outside X cancels between X-elements",
-    "L14": "X-element iff the complement of its down-set is X-multiplicatively closed",
-    "L15": "restricting both quantifiers to compact elements changes nothing (all elements are compact)",
-    "L16": "n-elements are r-elements and J-elements; the underlying set inclusions hold",
-}
 
 
 @dataclass(frozen=True)
@@ -103,46 +86,54 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
     """Run every check against ``xsets`` and the canonical sets."""
     if M.size == 1:
         raise DegenerateLattice("lemma suite needs a proper element")
-    sets = distinct_sets([*xsets, *canonical_sets(M).values(), prime_meet_downset(M)])
+    canon = canonical_sets(M)
+    pmeet = prime_meet_downset(M)
+    sets = distinct_sets([*xsets, *canon.values(), pmeet])
+    # Keyed by members: a set folded into an equal one is found under them.
+    xels_of = {
+        X.members: frozenset(i for i in M.proper_elements() if is_x_element(M, X, i))
+        for X in sets
+    }
 
     results: list[CheckResult] = []
     for X in sets:
-        xels = x_elements(M, X)
-        results.append(_check_l1(M, X))
+        xels = xels_of[X.members]
+        results.append(_check_l1(M, X, xels))
         results.append(_check_l5(M, X, xels))
         results.append(_check_l6(M, X, xels))
-        results.append(_check_l7(M, X))
+        results.append(_check_l7(M, X, xels))
         results.append(_check_l8(M, X, xels))
         results.append(_check_l13(M, X, xels))
-        results.append(_check_l14(M, X))
+        results.append(_check_l14(M, X, xels))
         results.append(_check_l15(M, X))
         j = principal_generator(M, X)
         if j is not None and j != M.top:
-            results.append(_check_l9(M, X, j))
-    results.append(_check_l2(M, sets))
+            results.append(_check_l9(M, X, j, xels))
+    results.append(_check_l2(M, sets, xels_of))
     results.append(_check_l3(M))
     results.append(_check_l4(M))
     results.append(_check_l10(M))
-    results.append(_check_l11(M))
-    results.append(_check_l12(M))
-    results.append(_check_l16(M))
+    results.append(_check_l11(M, xels_of[pmeet.members]))
+    results.append(_check_l12(M, xels_of[canon["j"].members]))
+    results.append(_check_l16(M, canon, xels_of))
     return SuiteReport(M.name, tuple(results))
 
 
 # -- individual checks ---------------------------------------------------------
 
 
-def _check_l1(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
+def _check_l1(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """X-elements sit inside X; for X a principal down-set of its own join, X-element = prime."""
     xmask = X.mask
     for i in M.proper_elements():
-        if is_x_element(M, X, i) and M.down_mask(i) & ~xmask:
+        if i in xels and M.down_mask(i) & ~xmask:
             stray = M.down_mask(i) & ~xmask
             return CheckResult(
                 "L1", X.name, False,
                 f"{M.label(i)} is an X-element but {_lbl(M, next(iter_bits(stray)))} below it is outside X",
             )
         if M.down_mask(i) == xmask:
-            if is_x_element(M, X, i) != M.is_prime(i):
+            if (i in xels) != M.is_prime(i):
                 return CheckResult(
                     "L1", X.name, False,
                     f"down-set of {M.label(i)} equals X but X-element != prime there",
@@ -150,21 +141,25 @@ def _check_l1(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
     return CheckResult("L1", X.name, True)
 
 
-def _check_l2(M: MultiplicativeLattice, sets: list[MClosedSet]) -> CheckResult:
+def _check_l2(
+    M: MultiplicativeLattice, sets: list[MClosedSet], xels_of: dict[frozenset[int], frozenset[int]]
+) -> CheckResult:
+    """X-elements carry over to any larger M-closed set."""
     for X, Xp in itertools.permutations(sets, 2):
         if X.mask & ~Xp.mask:
             continue
-        for i in M.proper_elements():
-            if is_x_element(M, X, i) and not is_x_element(M, Xp, i):
-                return CheckResult(
-                    "L2", "global", False,
-                    f"{M.label(i)} is an {X.name}-element, {X.name} inside {Xp.name}, "
-                    f"but not an {Xp.name}-element",
-                )
+        lost = xels_of[X.members] - xels_of[Xp.members]
+        if lost:
+            return CheckResult(
+                "L2", "global", False,
+                f"{M.label(min(lost))} is an {X.name}-element, {X.name} inside {Xp.name}, "
+                f"but not an {Xp.name}-element",
+            )
     return CheckResult("L2", "global", True)
 
 
 def _check_l3(M: MultiplicativeLattice) -> CheckResult:
+    """In a local lattice every proper element is an X-element for the maximal down-set."""
     if not M.is_local():
         return CheckResult("L3", "global", True, info="vacuous: lattice not local")
     (m,) = M.max_elements()
@@ -180,6 +175,7 @@ def _check_l3(M: MultiplicativeLattice) -> CheckResult:
 
 
 def _check_l4(M: MultiplicativeLattice) -> CheckResult:
+    """If every proper element is an X-element for a proper down-set, its generator is the unique maximal."""
     maxima = M.max_elements()
     for m in M.proper_elements():
         X = downset_m_closed(M, m)
@@ -194,6 +190,7 @@ def _check_l4(M: MultiplicativeLattice) -> CheckResult:
 
 
 def _check_l5(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """Meets of nonempty families of X-elements are X-elements."""
     # Binary meets suffice: a nonempty finite meet is a chain of binary ones,
     # so closure under pairs gives closure under every family by induction.
     for i1, i2 in itertools.combinations_with_replacement(sorted(xels), 2):
@@ -206,6 +203,7 @@ def _check_l5(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
 
 
 def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """Search for X-element pairs whose join is not an X-element (informational)."""
     pair = join_escape(M, X, xels)
     if pair is None:
         return CheckResult("L6", X.name, True, info="no join witness in this instance")
@@ -216,13 +214,14 @@ def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
     )
 
 
-def _check_l7(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
+def _check_l7(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """Four equivalent characterizations of X-elements via residuals agree."""
     xmask = X.mask
     for i in M.proper_elements():
-        direct = is_x_element(M, X, i)
+        direct = i in xels
         via_residual_fixed = residual_characterization(M, X, i)
         via_residual_xel = all(
-            is_x_element(M, X, M.residual(i, a))
+            M.residual(i, a) in xels
             for a in range(M.size)
             if not M.leq(a, i)
         )
@@ -242,6 +241,7 @@ def _check_l7(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
 
 
 def _check_l8(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """Maximal X-elements are prime."""
     maximal = [
         i for i in xels if not any(j != i and M.leq(i, j) for j in xels)
     ]
@@ -256,16 +256,17 @@ def _check_l8(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
     return CheckResult("L8", X.name, True, info=info)
 
 
-def _check_l9(M: MultiplicativeLattice, X: MClosedSet, j: int) -> CheckResult:
+def _check_l9(M: MultiplicativeLattice, X: MClosedSet, j: int, xels: frozenset[int]) -> CheckResult:
+    """For a proper down-set: a prime above the generator, or any maximal, is an X-element iff it equals the generator."""
     for i in iter_bits(M._prime_mask):
-        if M.leq(j, i) and is_x_element(M, X, i) != (i == j):
+        if M.leq(j, i) and (i in xels) != (i == j):
             return CheckResult(
                 "L9", X.name, False,
                 f"prime {M.label(i)} above generator {M.label(j)}: "
                 f"X-element should mean equality with the generator",
             )
     for i in M.max_elements():
-        if is_x_element(M, X, i) != (i == j):
+        if (i in xels) != (i == j):
             return CheckResult(
                 "L9", X.name, False,
                 f"maximal {M.label(i)} vs generator {M.label(j)}: "
@@ -275,6 +276,7 @@ def _check_l9(M: MultiplicativeLattice, X: MClosedSet, j: int) -> CheckResult:
 
 
 def _check_l10(M: MultiplicativeLattice) -> CheckResult:
+    """X-elements exist for the prime-meet down-set iff the prime meet is prime iff there is a unique minimal prime."""
     j, exists, j_prime, unique_min = prime_meet_facts(M)
     if j != M.big_meet(M.min_primes()):
         return CheckResult(
@@ -289,11 +291,11 @@ def _check_l10(M: MultiplicativeLattice) -> CheckResult:
     return CheckResult("L10", "global", True)
 
 
-def _check_l11(M: MultiplicativeLattice) -> CheckResult:
+def _check_l11(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
+    """For the prime-meet down-set: X-element iff primary with radical the prime meet."""
     j = M.big_meet(M.prime_elements())
-    X = downset_m_closed(M, j)
     for i in M.proper_elements():
-        lhs = is_x_element(M, X, i)
+        lhs = i in xels
         rhs = M.is_primary(i) and M.radical(i) == j
         if lhs != rhs:
             return CheckResult(
@@ -303,14 +305,14 @@ def _check_l11(M: MultiplicativeLattice) -> CheckResult:
     return CheckResult("L11", "global", True)
 
 
-def _check_l12(M: MultiplicativeLattice) -> CheckResult:
+def _check_l12(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
+    """For the Jacobson down-set: X-element iff the two-part residual condition over maximal elements above."""
     j = M.jacobson()
-    X = downset_m_closed(M, j)
     for i in M.proper_elements():
         m = M.big_meet(k for k in M.max_elements() if M.leq(i, k))
         implication = M.escape_witness(i, M.down_mask(i), M.down_mask(m)) is None
         rhs = implication and m == j
-        lhs = is_x_element(M, X, i)
+        lhs = i in xels
         if lhs != rhs:
             return CheckResult(
                 "L12", "global", False,
@@ -320,6 +322,7 @@ def _check_l12(M: MultiplicativeLattice) -> CheckResult:
 
 
 def _check_l13(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """Multiplying by a fixed element outside X cancels between X-elements."""
     outside = [k for k in range(M.size) if k not in X]
     members = sorted(xels)
     for k in outside:
@@ -341,9 +344,10 @@ def _check_l13(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) ->
     return CheckResult("L13", X.name, True)
 
 
-def _check_l14(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
+def _check_l14(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
+    """X-element iff the complement of its down-set is X-multiplicatively closed."""
     for i in M.proper_elements():
-        if is_x_element(M, X, i) != complement_characterization(M, X, i):
+        if (i in xels) != complement_characterization(M, X, i):
             return CheckResult(
                 "L14", X.name, False,
                 f"{M.label(i)}: X-element and complement characterization disagree",
@@ -352,17 +356,21 @@ def _check_l14(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
 
 
 def _check_l15(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
+    """Restricting both quantifiers to compact elements changes nothing (all elements are compact)."""
     # Every element of a finite lattice is compact, so restricting both
     # quantifiers of the X-element definition to compact elements leaves the
     # full scan unchanged: the check holds by construction and scans nothing.
     return CheckResult("L15", X.name, True)
 
 
-def _check_l16(M: MultiplicativeLattice) -> CheckResult:
-    rset, nset, jset = canonical_sets(M).values()
-    n_els = x_elements(M, nset)
-    r_els = x_elements(M, rset)
-    j_els = x_elements(M, jset)
+def _check_l16(
+    M: MultiplicativeLattice,
+    canon: dict[str, MClosedSet],
+    xels_of: dict[frozenset[int], frozenset[int]],
+) -> CheckResult:
+    """n-elements are r-elements and J-elements; the underlying set inclusions hold."""
+    rset, nset, jset = canon.values()
+    n_els, r_els, j_els = (xels_of[X.members] for X in (nset, rset, jset))
     if not n_els <= r_els:
         bad = next(iter(n_els - r_els))
         return CheckResult("L16", "global", False, f"n-element {M.label(bad)} is not an r-element")

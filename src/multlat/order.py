@@ -124,9 +124,6 @@ class FiniteLattice:
     def down_mask(self, a: int) -> int:
         return self.order.down[a]
 
-    def up_mask(self, a: int) -> int:
-        return self.order.up[a]
-
     def down_set(self, a: int) -> frozenset[int]:
         return frozenset(iter_bits(self.order.down[a]))
 

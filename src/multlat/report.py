@@ -10,7 +10,7 @@ the definitions) or the note "improper" for the top element.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .classify import MClosedSet, canonical_sets, x_witness
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
@@ -121,9 +121,19 @@ def _flag(M: MultiplicativeLattice, improper: bool, witness) -> FlagResult:
 # -- machine form ---------------------------------------------------------------
 
 
-def _without_none(pairs: list[tuple[str, object]]) -> dict:
-    # Only FlagResult.witness and FlagResult.note are ever None.
-    return {k: v for k, v in pairs if v is not None}
+def _plain(obj):
+    """``obj`` with each report dataclass made a dict of its fields that are not None.
+
+    Only FlagResult.witness and FlagResult.note are ever None. Strings and
+    tuples of strings are handed to ``json`` as they are, not copied.
+    """
+    if is_dataclass(obj):
+        return {f.name: _plain(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and obj and is_dataclass(obj[0]):
+        return [_plain(v) for v in obj]
+    return obj
 
 
 def _tuples(d: dict) -> dict:
@@ -132,7 +142,7 @@ def _tuples(d: dict) -> dict:
 
 
 def report_to_json(report: ClassificationReport) -> str:
-    return json.dumps(asdict(report, dict_factory=_without_none), indent=2)
+    return json.dumps(_plain(report), indent=2)
 
 
 def report_from_json(text: str) -> ClassificationReport:

@@ -134,12 +134,6 @@ class ZnIdealModel(_RingSets):
 
     # lattice correspondence ----------------------------------------------
 
-    def index_of_divisor(self, d: int) -> int:
-        return self.divisors.index(d)
-
-    def index_of_label(self, label: str) -> int:
-        return self.labels().index(label)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(_ideal_label(d, self.modulus) for d in self.divisors)
 

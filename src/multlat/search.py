@@ -19,14 +19,6 @@ from .classify import (
 )
 from .multiplicative import MultiplicativeLattice
 
-PROPERTIES = (
-    "join-of-x-not-x",
-    "x-exists-iff-min-prime-unique",
-    "n-strictly-inside-r",
-    "n-strictly-inside-j",
-)
-
-
 @dataclass(frozen=True)
 class SearchHit:
     instance: str
@@ -82,6 +74,8 @@ _FINDERS = {
     "n-strictly-inside-r": partial(_find_n_strictly_inside, letter="r", noun="an r-element"),
     "n-strictly-inside-j": partial(_find_n_strictly_inside, letter="j", noun="a J-element"),
 }
+
+PROPERTIES = tuple(_FINDERS)
 
 
 def search_corpus(

@@ -4,17 +4,21 @@ import pytest
 
 from multlat import (
     DegenerateLattice,
+    canonical_sets,
     chain_lattice,
     downset_m_closed,
     ideal_lattice_product,
     ideal_lattice_zn,
     is_x_element,
+    kite_lattice,
     lattice_from_pairs,
     lemma_suite,
     make_m_closed,
+    prime_meet_downset,
     trivial_mult,
     x_elements,
 )
+from multlat.classify import distinct_sets
 from conftest import div_index
 
 
@@ -125,3 +129,34 @@ def test_suite_reports_failures_with_witnesses(z12, monkeypatch):
     failed = report.failures()
     assert failed and all(c.witness for c in failed)
     assert any(c.check == "L7" for c in failed)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ideal_lattice_zn(360)[0],
+        lambda: ideal_lattice_product(4, 9)[0],
+        lambda: chain_lattice(6, "meet"),
+        kite_lattice,
+    ],
+    ids=["zn:360", "prod:4,9", "chain:6", "kite"],
+)
+def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
+    # One pass per distinct set (k*p), then L3 (at most p) and L4 (at most
+    # p per candidate down-set): every other check reads the shared pass.
+    import multlat.lemmas as lemmas
+
+    M = build()
+    calls = 0
+    truth = lemmas.is_x_element
+
+    def counting(M, X, i):
+        nonlocal calls
+        calls += 1
+        return truth(M, X, i)
+
+    monkeypatch.setattr(lemmas, "is_x_element", counting)
+    assert_suite_passes(lemmas.lemma_suite(M))
+    k = len(distinct_sets([*canonical_sets(M).values(), prime_meet_downset(M)]))
+    p = len(M.proper_elements())
+    assert calls <= k * p + p + p * p, (calls, k, p)

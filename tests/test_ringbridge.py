@@ -217,9 +217,9 @@ def test_cross_validation_products_property(m, n):
 
 # -- differential check of the ring oracle against the definitions ------------------
 #
-# The reference scans each definition literally, as the oracle once did: per
-# ideal it recomputes the nilpotents and the Jacobson radical, rescans the
-# ring for the annihilator of every a, and loops over every pair (a, b).
+# The reference scans each definition literally: once per model it finds the
+# nilpotents, the Jacobson radical and the a with a zero annihilator (one scan
+# of the ring per a), and per ideal it loops over every pair (a, b).
 
 
 def reference_nilpotents(model, elements):
@@ -261,25 +261,22 @@ def reference_ideal_class(model, elements, index, exempt):
     return True
 
 
-def reference_flags(model, index):
+def reference_flags(model):
+    """(r, n, j) flags per proper ideal index."""
     elements = list(model.ring_elements())
-    nil = reference_nilpotents(model, elements)
-    jac = reference_jacobson(model)
-    return (
-        reference_ideal_class(
-            model, elements, index,
-            lambda a: not reference_annihilator_is_zero(model, elements, a),
-        ),
-        reference_ideal_class(model, elements, index, lambda a: a in nil),
-        reference_ideal_class(model, elements, index, lambda a: a in jac),
-    )
+    zdiv = frozenset(a for a in elements if not reference_annihilator_is_zero(model, elements, a))
+    exempt = (zdiv, reference_nilpotents(model, elements), reference_jacobson(model))
+    return {
+        index: tuple(reference_ideal_class(model, elements, index, s.__contains__) for s in exempt)
+        for index in model.proper_indices()
+    }
 
 
 ORACLE = {"r": ring_is_r_ideal, "n": ring_is_n_ideal, "j": ring_is_j_ideal}
 
 
 def assert_oracle_matches_reference(model):
-    want = {idx: reference_flags(model, idx) for idx in model.proper_indices()}
+    want = reference_flags(model)
     # Fresh copies, so that no verdict is cached; the three classes share
     # verdicts per ideal, so they are asked in two orders.
     for order in ("rnj", "jnr"):
