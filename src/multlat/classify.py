@@ -186,15 +186,14 @@ def join_escape(
     return None
 
 
-def prime_meet_facts(M: MultiplicativeLattice) -> tuple[int, bool, bool, bool]:
+def prime_meet_facts(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[int, bool, bool, bool]:
     """The meet j of all primes, and three facts that must agree about it.
 
-    Returns (j, X-elements exist for the down-set of j, j is prime, the
-    minimal prime is unique).
+    ``xels`` are the X-elements of the down-set of j. Returns (j, X-elements
+    exist for that down-set, j is prime, the minimal prime is unique).
     """
     j = M.big_meet(M.prime_elements())
-    exists = bool(x_elements(M, downset_m_closed(M, j)))
-    return j, exists, M.is_prime(j), len(M.min_primes()) == 1
+    return j, bool(xels), M.is_prime(j), len(M.min_primes()) == 1
 
 
 def residual_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:

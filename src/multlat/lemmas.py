@@ -112,7 +112,7 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
     results.append(_check_l2(M, sets, xels_of))
     results.append(_check_l3(M))
     results.append(_check_l4(M))
-    results.append(_check_l10(M))
+    results.append(_check_l10(M, xels_of[pmeet.members]))
     results.append(_check_l11(M, xels_of[pmeet.members]))
     results.append(_check_l12(M, xels_of[canon["j"].members]))
     results.append(_check_l16(M, canon, xels_of))
@@ -275,9 +275,9 @@ def _check_l9(M: MultiplicativeLattice, X: MClosedSet, j: int, xels: frozenset[i
     return CheckResult("L9", X.name, True)
 
 
-def _check_l10(M: MultiplicativeLattice) -> CheckResult:
+def _check_l10(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
     """X-elements exist for the prime-meet down-set iff the prime meet is prime iff there is a unique minimal prime."""
-    j, exists, j_prime, unique_min = prime_meet_facts(M)
+    j, exists, j_prime, unique_min = prime_meet_facts(M, xels)
     if j != M.big_meet(M.min_primes()):
         return CheckResult(
             "L10", "global", False,

@@ -7,7 +7,7 @@ over every finite join), and top acting as identity. A table that survives
 becomes a :class:`MultiplicativeLattice`: a :class:`FiniteLattice` with the
 table and a name added, which precomputes the data the classification sweeps
 lean on: radicals (by two independent formulas, cross-asserted),
-prime/maximal element sets, and per-element "product lands below" masks.
+prime/maximal element sets, and the residual table.
 
 Every query is pure; negative classification answers expose the first
 violating tuple in element-index order.
@@ -93,24 +93,27 @@ class MultiplicativeLattice(FiniteLattice):
 
     def residual(self, i: int, a: int) -> int:
         """(i : a), the largest x with x*a <= i."""
-        return self.big_join(iter_bits(self._prod_below[a][i]))
+        return self._prod_below[a][i]
 
     def annihilator(self, a: int) -> int:
         return self.residual(self.bottom, a)
 
     @cached_property
     def _prod_below(self) -> tuple[tuple[int, ...], ...]:
-        # _prod_below[a][i] = mask of b with a*b <= i
+        # _prod_below[a][i] = (i : a). The b with a*b <= i form a down-set closed
+        # under joins, so (i : a) is the join of its join-irreducibles (Dilworth
+        # 1962): the q != bottom that are not the join of the elements below q.
         n = self.size
-        up = self.order.up
+        up, down, join = self.order.up, self.order.down, self.join_table
+        irreducibles = [q for q in range(n) if q != self.bottom
+                        and self.big_join(iter_bits(down[q] & ~(1 << q))) != q]
         rows = []
         for a in range(n):
-            acc = [0] * n
+            acc = [self.bottom] * n
             row = self.table[a]
-            for b in range(n):
-                bit_b = 1 << b
-                for i in iter_bits(up[row[b]]):
-                    acc[i] |= bit_b
+            for q in irreducibles:
+                for i in iter_bits(up[row[q]]):
+                    acc[i] = join[acc[i]][q]
             rows.append(tuple(acc))
         return tuple(rows)
 
@@ -128,14 +131,9 @@ class MultiplicativeLattice(FiniteLattice):
 
     @cached_property
     def _zdiv_mask(self) -> int:
-        n = self.size
+        # x is a zero divisor exactly when its annihilator (bottom : x) is not bottom.
         bottom = self.bottom
-        out = 0
-        for x in range(n):
-            row = self.table[x]
-            if any(row[y] == bottom for y in range(n) if y != bottom):
-                out |= 1 << x
-        return out
+        return mask_of(x for x, row in enumerate(self._prod_below) if row[bottom] != bottom)
 
     def zero_divisors(self) -> frozenset[int]:
         return frozenset(iter_bits(self._zdiv_mask))
@@ -174,11 +172,11 @@ class MultiplicativeLattice(FiniteLattice):
         ``skip`` and ``keep`` are element masks. The X-element, prime and
         primary witnesses are all this scan with different masks.
         """
-        below = self._prod_below
+        below, down = self._prod_below, self.order.down
         for a in range(self.size):
             if skip >> a & 1:
                 continue
-            bad = below[a][i] & ~keep
+            bad = down[below[a][i]] & ~keep
             if bad:
                 return a, (bad & -bad).bit_length() - 1
         return None

@@ -160,7 +160,7 @@ class FiniteLattice:
         return self.labels.index(label)
 
 
-def _extremal(order: PartialOrder, candidates: int, bound_rows: tuple[int, ...]) -> int | None:
+def _extremal(candidates: int, bound_rows: tuple[int, ...]) -> int | None:
     # The candidate m whose bound-row covers all candidates, if any.
     for m in iter_bits(candidates):
         if candidates & ~bound_rows[m] == 0:
@@ -188,10 +188,10 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
         mrow = []
         jrow = []
         for y in range(n):
-            glb = _extremal(order, order.down[x] & order.down[y], order.down)
+            glb = _extremal(order.down[x] & order.down[y], order.down)
             if glb is None:
                 raise NotALattice(x, y, "meet")
-            lub = _extremal(order, order.up[x] & order.up[y], order.up)
+            lub = _extremal(order.up[x] & order.up[y], order.up)
             if lub is None:
                 raise NotALattice(x, y, "join")
             mrow.append(glb)

@@ -14,6 +14,7 @@ from .classify import (
     canonical_sets,
     distinct_sets,
     join_escape,
+    prime_meet_downset,
     prime_meet_facts,
     x_elements,
 )
@@ -42,7 +43,7 @@ def _find_join_escape(M: MultiplicativeLattice) -> SearchHit | None:
 
 
 def _find_existence_equivalence(M: MultiplicativeLattice) -> SearchHit | None:
-    j, exists, j_prime, unique_min = prime_meet_facts(M)
+    j, exists, j_prime, unique_min = prime_meet_facts(M, x_elements(M, prime_meet_downset(M)))
     if not exists == j_prime == unique_min:
         raise RuntimeError(
             f"{M.name}: existence/primeness/unique-minimal-prime equivalence broken "

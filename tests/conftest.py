@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from multlat import ideal_lattice_zn, kite_lattice
+from multlat import ideal_lattice_zn, kite_lattice, lattice_from_pairs, load_path, trivial_mult
 
 LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
 
@@ -25,6 +25,18 @@ def z15():
 @pytest.fixture(scope="session")
 def lattice_dir():
     return LATTICE_DIR
+
+
+def m3_plus_top():
+    """M_3 (0 < a, b, c < m) with a new top above m; trivial multiplication."""
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5)]
+    lattice = lattice_from_pairs(6, covers, ("0", "a", "b", "c", "m", "1"))
+    return trivial_mult(lattice, name="M3+top")
+
+
+def n5_plus_top():
+    """N_5 with a new top, from ``lattices/n5-top.lat``; b*b = a."""
+    return load_path(LATTICE_DIR / "n5-top.lat")[0]
 
 
 def div_index(M, label: str) -> int:

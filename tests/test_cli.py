@@ -126,7 +126,8 @@ def test_classify_degenerate_target(capsys, tmp_path):
 
 def test_verify_targets_pass(capsys, lattice_dir):
     for target in ("zn:12", "zn:15", "prod:4,9", str(lattice_dir / "k.lat"),
-                   str(lattice_dir / "chain5-meet.lat"), str(lattice_dir / "z12-table.lat")):
+                   str(lattice_dir / "chain5-meet.lat"), str(lattice_dir / "z12-table.lat"),
+                   str(lattice_dir / "n5-top.lat")):
         code, out, _ = run_cli(capsys, "verify", target)
         assert code == 0, (target, out)
         assert "checks pass" in out
@@ -194,6 +195,14 @@ def test_search_bad_corpus_spec(capsys):
 def test_search_empty_range_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, "search", "--corpus", "zn:5..2", "--find", "join-of-x-not-x")
     assert code == 2 and out == "" and "empty range" in err
+
+
+def test_search_refuses_the_one_element_chain(capsys):
+    from multlat.search import PROPERTIES
+
+    for prop in PROPERTIES:
+        code, out, err = run_cli(capsys, "search", "--corpus", "chain:1", "--find", prop)
+        assert code == 2 and out == "" and err.startswith("error:"), prop
 
 
 def test_bad_specs_fail_before_any_lattice_is_built(capsys):

@@ -160,3 +160,22 @@ def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
     k = len(distinct_sets([*canonical_sets(M).values(), prime_meet_downset(M)]))
     p = len(M.proper_elements())
     assert calls <= k * p + p + p * p, (calls, k, p)
+
+
+def test_l10_reads_the_suites_prime_meet_x_elements(z12, z15, kite, monkeypatch):
+    # L10 must take the X-elements of the prime-meet down-set from the
+    # suite's one pass, not decide them again through x_elements.
+    import multlat.classify as classify
+    from conftest import n5_plus_top
+
+    instances = (z12, z15, kite, ideal_lattice_zn(8)[0], chain_lattice(5, "meet"), n5_plus_top())
+    want = {M.name: lemma_suite(M).render() for M in instances}
+
+    def no_rescan(M, X):
+        raise AssertionError("x_elements called during lemma_suite")
+
+    monkeypatch.setattr(classify, "x_elements", no_rescan)
+    for M in instances:
+        report = lemma_suite(M)
+        assert_suite_passes(report)
+        assert report.render() == want[M.name]

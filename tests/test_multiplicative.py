@@ -16,12 +16,14 @@ from multlat import (
     MultiplicativeLattice,
     TopJoinReducible,
     attach_multiplication,
+    chain_lattice,
+    ideal_lattice_product,
     ideal_lattice_zn,
     lattice_from_pairs,
     meet_mult,
     trivial_mult,
 )
-from conftest import brute_force_axioms_hold, div_index
+from conftest import brute_force_axioms_hold, div_index, m3_plus_top, n5_plus_top
 
 
 def boolean_square():
@@ -137,8 +139,14 @@ def test_residual_examples(z12):
         assert z12.residual(z12.top, i) == z12.top
 
 
+def residual_instances(z12, kite):
+    # Distributive and not, trivial, meet and ring multiplications.
+    prod49 = ideal_lattice_product(4, 9)[0]
+    return (z12, kite, m3_plus_top(), chain_lattice(5, "meet"), prod49, n5_plus_top())
+
+
 def test_residual_adjunction_all_triples(z12, kite):
-    for M in (z12, kite):
+    for M in residual_instances(z12, kite):
         for i in range(M.size):
             for a in range(M.size):
                 r = M.residual(i, a)
@@ -146,6 +154,37 @@ def test_residual_adjunction_all_triples(z12, kite):
                 assert M.leq(M.product(r, a), i)
                 for x in range(M.size):
                     assert M.leq(M.product(x, a), i) == M.leq(x, r)
+        literal = {
+            x for x in range(M.size)
+            if any(M.product(x, y) == M.bottom for y in range(M.size) if y != M.bottom)
+        }
+        assert M.zero_divisors() == literal, M.name
+
+
+def test_residual_table_answers_without_joins(z12, kite, monkeypatch):
+    for M in residual_instances(z12, kite):
+        M._prod_below  # built before big_join is patched
+        want = {(i, a): M.big_join(x for x in range(M.size) if M.leq(M.product(x, a), i))
+                for i in range(M.size) for a in range(M.size)}
+
+        def no_join(self, items):
+            raise AssertionError("residual lookups must not join")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(M), "big_join", no_join)
+            for (i, a), r in want.items():
+                assert M.residual(i, a) == r, (M.name, i, a)
+            for a in range(M.size):
+                assert M.annihilator(a) == want[M.bottom, a], (M.name, a)
+
+
+def test_n5_plus_top_has_a_non_trivial_product():
+    M = n5_plus_top()
+    a, b, c, m = (M.index_of(s) for s in "abcm")
+    assert M.meet(b, M.join(a, c)) != M.join(M.meet(b, a), M.meet(b, c))
+    assert M.product(b, b) == a
+    assert M.residual(a, b) == m
+    assert M.zero_divisors() == {M.bottom, a, b, c}
 
 
 def test_annihilator_examples(z12, kite):

@@ -10,21 +10,13 @@ from multlat import (
     acceptance_corpus,
     chain_lattice,
     classify_lattice,
-    lattice_from_pairs,
     loads,
     render_spec,
-    trivial_mult,
     x_elements,
     x_witness,
 )
 from multlat.cli import resolve_xset
-
-
-def m3_plus_top():
-    """M_3 (0 < a, b, c < m) with a new top above m; trivial multiplication."""
-    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5)]
-    lattice = lattice_from_pairs(6, covers, ("0", "a", "b", "c", "m", "1"))
-    return trivial_mult(lattice, name="M3+top")
+from conftest import m3_plus_top, n5_plus_top
 
 
 def instances():
@@ -32,6 +24,7 @@ def instances():
     for n in range(2, 9):
         yield chain_lattice(n, "meet")
     yield m3_plus_top()
+    yield n5_plus_top()
 
 
 def naive_first(M, i, a_ok, b_ok):
