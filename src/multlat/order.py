@@ -2,9 +2,10 @@
 
 Elements are dense integer indices 0..size-1. The order relation is stored
 as bitmask rows: bit j of ``up[i]`` is set iff i <= j. Meets and joins are
-found by intersecting down-/up-masks and scanning for the extremal member;
-the full meet/join tables are precomputed at validation time, so lattice
-queries are table lookups. All values are immutable after construction.
+found by intersecting down-/up-masks and looking up the principal
+down-/up-set equal to the result; the full meet/join tables are precomputed
+at validation time, so lattice queries are table lookups. All values are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -160,17 +161,12 @@ class FiniteLattice:
         return self.labels.index(label)
 
 
-def _extremal(candidates: int, bound_rows: tuple[int, ...]) -> int | None:
-    # The candidate m whose bound-row covers all candidates, if any.
-    for m in iter_bits(candidates):
-        if candidates & ~bound_rows[m] == 0:
-            return m
-    return None
-
-
 def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -> FiniteLattice:
     """Check every pair has a meet and a join; fix bottom/top; build tables.
 
+    The common lower bounds of x and y form a down-set, which has a greatest
+    element m exactly when it equals down[m]; so the meet is one lookup in
+    the principal down-sets, and dually the join in the principal up-sets.
     Raises NotALattice with the first offending pair (index-order scan).
     """
     n = order.size
@@ -182,27 +178,27 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
             raise ValueError(f"{len(label_tuple)} labels for {n} elements")
         if len(set(label_tuple)) != n:
             raise ValueError("duplicate labels")
+    up, down = order.up, order.down
+    by_down = {d: c for c, d in enumerate(down)}
+    by_up = {u: c for c, u in enumerate(up)}
     meet_rows = []
     join_rows = []
     for x in range(n):
         mrow = []
         jrow = []
         for y in range(n):
-            glb = _extremal(order.down[x] & order.down[y], order.down)
+            glb = by_down.get(down[x] & down[y])
             if glb is None:
                 raise NotALattice(x, y, "meet")
-            lub = _extremal(order.up[x] & order.up[y], order.up)
+            lub = by_up.get(up[x] & up[y])
             if lub is None:
                 raise NotALattice(x, y, "join")
             mrow.append(glb)
             jrow.append(lub)
         meet_rows.append(tuple(mrow))
         join_rows.append(tuple(jrow))
-    bottom = 0
-    top = 0
-    for x in range(1, n):
-        bottom = meet_rows[bottom][x]
-        top = join_rows[top][x]
+    full = (1 << n) - 1
+    bottom, top = by_up[full], by_down[full]
     return FiniteLattice(order, bottom, top, tuple(meet_rows), tuple(join_rows), label_tuple)
 
 

@@ -60,3 +60,42 @@ def brute_force_axioms_hold(lattice, rows) -> bool:
                 if rows[a][lattice.join(b, c)] != lattice.join(rows[a][b], rows[a][c]):
                     return False
     return True
+
+
+def first_axiom_violation(lattice, rows):
+    """(axiom, witness) of the first failure, scanning in the original order.
+
+    A plain reference for ``attach_multiplication``: entry range,
+    commutativity, identity and annihilation, distributivity, associativity
+    over every c, then the product-below-meet bound. None if all hold.
+    """
+    n = lattice.size
+    R = range(n)
+    for a in R:
+        for b in R:
+            if not 0 <= rows[a][b] < n:
+                return "closure", (a, b)
+    for a in R:
+        for b in range(a + 1, n):
+            if rows[a][b] != rows[b][a]:
+                return "commutativity", (a, b)
+    for a in R:
+        if rows[a][lattice.top] != a:
+            return "identity", (a,)
+        if rows[a][lattice.bottom] != lattice.bottom:
+            return "annihilation", (a,)
+    for a in R:
+        for b in R:
+            for c in range(b + 1, n):
+                if rows[a][lattice.join(b, c)] != lattice.join(rows[a][b], rows[a][c]):
+                    return "distributivity", (a, b, c)
+    for a in R:
+        for b in R:
+            for c in R:
+                if rows[a][rows[b][c]] != rows[rows[a][b]][c]:
+                    return "associativity", (a, b, c)
+    for a in R:
+        for b in range(a, n):
+            if not lattice.leq(rows[a][b], lattice.meet(a, b)):
+                return "product-below-meet", (a, b)
+    return None

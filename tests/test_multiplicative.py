@@ -5,6 +5,8 @@ the bottom of this file (ideals as explicit subsets of Z_n, products closed
 under addition by hand), then frozen.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,13 @@ from multlat import (
     meet_mult,
     trivial_mult,
 )
-from conftest import brute_force_axioms_hold, div_index, m3_plus_top, n5_plus_top
+from conftest import (
+    brute_force_axioms_hold,
+    div_index,
+    first_axiom_violation,
+    m3_plus_top,
+    n5_plus_top,
+)
 
 
 def boolean_square():
@@ -347,6 +355,49 @@ def test_validator_agrees_with_brute_force_scan(n, i, j, v):
     except AxiomViolation:
         accepted = False
     assert accepted == brute_force_axioms_hold(M.lattice, rows)
+
+
+def monotone_chain_tables(n):
+    """Commutative tables on the n-chain, top the identity, bottom absorbing,
+    monotone in each argument (on a chain: distributive over joins)."""
+    top = n - 1
+    cells = [(a, b) for a in range(1, top) for b in range(a, top)]
+    for values in itertools.product(*(range(a + 1) for a, _ in cells)):
+        rows = [[min(a, b) if 0 in (a, b) or top in (a, b) else 0 for b in range(n)]
+                for a in range(n)]
+        for (a, b), v in zip(cells, values):
+            rows[a][b] = rows[b][a] = v
+        if all(rows[a][b] <= rows[a][b + 1] for a in range(n) for b in range(top)):
+            yield rows
+
+
+def single_entry_mutants(M):
+    for i, j, v in itertools.product(range(M.size), repeat=3):
+        if v != M.table[i][j]:
+            rows = [list(r) for r in M.table]
+            rows[i][j] = v
+            yield rows
+
+
+def test_axiom_witness_matches_the_full_scan():
+    # The first failure and its witness are those of the reference scan,
+    # which checks associativity over every c and then a*b <= a^b.
+    chain = chain_lattice(6, "meet")
+    cases = [(chain, rows) for rows in monotone_chain_tables(6)]
+    assert len(cases) == 429
+    for M in (ideal_lattice_zn(12)[0], m3_plus_top(), n5_plus_top()):
+        cases += [(M, rows) for rows in single_entry_mutants(M)]
+    seen = set()
+    for lattice, rows in cases:
+        want = first_axiom_violation(lattice, rows)
+        try:
+            attach_multiplication(lattice, rows)
+            got = None
+        except AxiomViolation as exc:
+            got = exc.axiom, exc.witness
+        assert got == want, (rows, want)
+        seen.add(want and want[0])
+    assert "associativity" in seen and "product-below-meet" not in seen
 
 
 @given(n=st.integers(2, 240))

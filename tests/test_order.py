@@ -1,7 +1,7 @@
 """Order kernel: closure, antisymmetry, meets/joins against brute force."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multlat import (
@@ -43,6 +43,9 @@ def brute_lub(rel, size, x, y):
         if all((m, z) in rel for z in upper):
             return m
     return None
+
+
+CROWN = [(1, 3), (1, 4), (2, 3), (2, 4)]
 
 
 def test_singleton_order():
@@ -192,6 +195,45 @@ def test_labels_validation():
 def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert list(iter_bits(0b100101)) == [0, 2, 5]
+
+
+@given(
+    size=st.integers(1, 7),
+    perm=st.permutations(range(7)),
+    pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14),
+    bounded=st.booleans(),
+)
+# Bounded, with the crown 1, 2 < 3, 4 inside: the first failure is a join,
+# then (relabelled) a meet, each with the other bound present.
+@example(size=6, perm=list(range(7)), pairs=CROWN, bounded=True)
+@example(size=6, perm=[0, 3, 4, 1, 2, 5, 6], pairs=CROWN, bounded=True)
+@settings(max_examples=300)
+def test_validate_lattice_matches_brute_force(size, perm, pairs, bounded):
+    # Relabel the pairs a < b by a random rank order, so the poset is acyclic
+    # but its indices need not be a linear extension. A bounded poset puts
+    # the lowest rank below and the highest above everything.
+    rank = [p for p in perm if p < size]
+    pairs = [(a, b) for a, b in pairs if a < b < size]
+    if bounded:
+        pairs += [(0, k) for k in range(size)] + [(k, size - 1) for k in range(size)]
+    pairs = [(rank[a], rank[b]) for a, b in pairs]
+    po = build_order(size, pairs)
+    rel = brute_leq(size, pairs)
+    bounds = [(x, y, brute_glb(rel, size, x, y), brute_lub(rel, size, x, y))
+              for x in range(size) for y in range(size)]
+    first_bad = next(((x, y, glb) for x, y, glb, lub in bounds
+                      if glb is None or lub is None), None)
+    if first_bad is None:
+        L = validate_lattice(po)
+        for x, y, glb, lub in bounds:
+            assert (L.meet(x, y), L.join(x, y)) == (glb, lub)
+        assert all(L.leq(L.bottom, x) and L.leq(x, L.top) for x in range(size))
+        return
+    with pytest.raises(NotALattice) as err:
+        validate_lattice(po)
+    x, y, glb = first_bad
+    assert err.value.witness == (x, y)
+    assert (err.value.kind == "meet") == (glb is None)
 
 
 @given(
