@@ -363,8 +363,7 @@ def monotone_chain_tables(n):
     top = n - 1
     cells = [(a, b) for a in range(1, top) for b in range(a, top)]
     for values in itertools.product(*(range(a + 1) for a, _ in cells)):
-        rows = [[min(a, b) if 0 in (a, b) or top in (a, b) else 0 for b in range(n)]
-                for a in range(n)]
+        rows = [[min(a, b) for b in range(n)] for a in range(n)]
         for (a, b), v in zip(cells, values):
             rows[a][b] = rows[b][a] = v
         if all(rows[a][b] <= rows[a][b + 1] for a in range(n) for b in range(top)):
