@@ -105,15 +105,15 @@ def parse_corpus_spec(spec: str) -> CorpusSpec:
     """
     kind, _, rest = spec.partition(":")
     if kind == "zn":
-        return CorpusSpec(ideal_lattice_zn, _parse_range(rest, spec))
+        return CorpusSpec(ideal_lattice_zn, _parse_range(rest, spec, least=2))
     if kind == "prod":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"bad corpus spec {spec!r}: expected prod:M,N")
-        m, n = _int(parts[0], spec), _int(parts[1], spec)
+        m, n = (_int(part, spec, least=2) for part in parts)
         return CorpusSpec(partial(ideal_lattice_product, m), (n,))
     if kind == "chain":
-        return CorpusSpec(_meet_chain, _parse_range(rest, spec))
+        return CorpusSpec(_meet_chain, _parse_range(rest, spec, least=1))
     raise ValueError(
         f"bad corpus spec {spec!r}: unknown kind {kind!r}, expected one of "
         f"{', '.join(CORPUS_KINDS)}"
@@ -124,19 +124,19 @@ def _meet_chain(n: int) -> Instance:
     return chain_lattice(n, "meet"), None
 
 
-def _parse_range(rest: str, spec: str) -> range:
-    if ".." in rest:
-        lo, _, hi = rest.partition("..")
-        out = range(_int(lo, spec), _int(hi, spec) + 1)
-        if not out:
-            raise ValueError(f"bad corpus spec {spec!r}: empty range {rest}")
-        return out
-    n = _int(rest, spec)
-    return range(n, n + 1)
+def _parse_range(rest: str, spec: str, least: int) -> range:
+    lo, dots, hi = rest.partition("..")
+    out = range(_int(lo, spec, least), _int(hi if dots else lo, spec, least) + 1)
+    if not out:
+        raise ValueError(f"bad corpus spec {spec!r}: empty range {rest}")
+    return out
 
 
-def _int(s: str, spec: str) -> int:
+def _int(s: str, spec: str, least: int) -> int:
     try:
-        return int(s)
+        n = int(s)
     except ValueError:
         raise ValueError(f"bad corpus spec {spec!r}: {s!r} is not an integer") from None
+    if n < least:
+        raise ValueError(f"bad corpus spec {spec!r}: {n} is below the least value {least}")
+    return n

@@ -41,12 +41,12 @@ class TopJoinReducible(ValueError):
 
 
 class RadicalMismatch(RuntimeError):
-    """Power-formula and minimal-prime-formula radicals disagree (a bug)."""
+    """Power-formula and prime-meet-formula radicals disagree (a bug)."""
 
     def __init__(self, a: int, by_powers: int, by_primes: int):
         self.element = a
         super().__init__(
-            f"radical({a}): {by_powers} via powers, {by_primes} via minimal primes"
+            f"radical({a}): {by_powers} via powers, {by_primes} via primes over it"
         )
 
 
@@ -84,7 +84,7 @@ class MultiplicativeLattice(FiniteLattice):
         return out
 
     def power_closure(self, a: int) -> frozenset[int]:
-        """All values of a, a^2, a^3, ...; the sequence repeats within |L| steps."""
+        """All values of a, a^2, a^3, ...; the powers descend to a fixed point."""
         seen: set[int] = set()
         cur = a
         while cur not in seen:
@@ -103,11 +103,12 @@ class MultiplicativeLattice(FiniteLattice):
     def _prod_below(self) -> tuple[tuple[int, ...], ...]:
         # _prod_below[a][i] = (i : a). The b with a*b <= i form a down-set closed
         # under joins, so (i : a) is the join of its join-irreducibles (Dilworth
-        # 1962): the q != bottom that are not the join of the elements below q.
+        # 1962): the q covering exactly one element, i.e. whose strict down-set
+        # is principal (bottom's is empty, so never principal).
         n = self.size
         up, down, join = self.order.up, self.order.down, self.join_table
-        irreducibles = [q for q in range(n) if q != self.bottom
-                        and self.big_join(iter_bits(down[q] & ~(1 << q))) != q]
+        principal = set(down)
+        irreducibles = [q for q in range(n) if (down[q] ^ (1 << q)) in principal]
         rows = []
         for a in range(n):
             acc = [self.bottom] * n
@@ -141,22 +142,19 @@ class MultiplicativeLattice(FiniteLattice):
 
     @cached_property
     def _radicals(self) -> tuple[int, ...]:
-        # Two independent formulas per element, cross-asserted: join of the
-        # elements with some power below a, and meet of the minimal primes
-        # over a. A disagreement means the table validation is broken.
+        # Two independent formulas, cross-asserted; a mismatch means the table
+        # validation is broken. The powers of x descend (x*x <= x*top = x), so
+        # some power of x is below a iff the last one is. Every prime over a lies
+        # over a minimal one, so the primes over a meet to the minimal primes' meet.
         n = self.size
-        closures = [self.power_closure(x) for x in range(n)]
+        last = [self.big_meet(self.power_closure(x)) for x in range(n)]
         down = self.order.down
         primes = self._prime_mask
         out = []
         for a in range(n):
             d = down[a]
-            by_powers = self.big_join(
-                x for x in range(n) if any(d >> p & 1 for p in closures[x])
-            )
-            over = [p for p in iter_bits(primes) if down[p] >> a & 1]
-            minimal = [p for p in over if not any(q != p and down[p] >> q & 1 for q in over)]
-            by_primes = self.big_meet(minimal)
+            by_powers = self.big_join(x for x in range(n) if d >> last[x] & 1)
+            by_primes = self.big_meet(p for p in iter_bits(primes) if down[p] >> a & 1)
             if by_powers != by_primes:
                 raise RadicalMismatch(a, by_powers, by_primes)
             out.append(by_powers)

@@ -192,9 +192,8 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
         (i, j) for i in range(k) for j in range(k) if divs[i] % divs[j] == 0
     ]
     lattice = validate_lattice(build_order(k, pairs), model.labels())
-    table = [
-        [divs.index(gcd(divs[i] * divs[j], n)) for j in range(k)] for i in range(k)
-    ]
+    index = {d: i for i, d in enumerate(divs)}
+    table = [[index[gcd(d * e, n)] for e in divs] for d in divs]
     M = attach_multiplication(lattice, table, name=f"zn:{n}")
     return M, model
 
