@@ -9,9 +9,10 @@ not an X-element (such pairs exist in some lattices and not others, so
 finding none is not a failure).
 
 The per-set checks run for each given set and for the canonical sets (zero
-divisors, nil down-set, Jacobson down-set, prime-meet down-set). The suite
-decides the X-elements of each distinct set once and hands them to every
-check that reads them, the global ones included.
+divisors, nil down-set, Jacobson down-set); the prime-meet down-set of L10
+and L11 is the nil down-set, since radical(bottom) is the meet of all
+primes. The suite decides the X-elements of each distinct set once and
+hands them to every check that reads them, the global ones included.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .classify import (
     downset_m_closed,
     is_x_element,
     join_escape,
-    prime_meet_downset,
     prime_meet_facts,
     principal_generator,
     residual_characterization,
@@ -87,8 +87,7 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
     if M.size == 1:
         raise DegenerateLattice("lemma suite needs a proper element")
     canon = canonical_sets(M)
-    pmeet = prime_meet_downset(M)
-    sets = distinct_sets([*xsets, *canon.values(), pmeet])
+    sets = distinct_sets([*xsets, *canon.values()])
     # Keyed by members: a set folded into an equal one is found under them.
     xels_of = {
         X.members: frozenset(i for i in M.proper_elements() if is_x_element(M, X, i))
@@ -112,8 +111,10 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
     results.append(_check_l2(M, sets, xels_of))
     results.append(_check_l3(M))
     results.append(_check_l4(M))
-    results.append(_check_l10(M, xels_of[pmeet.members]))
-    results.append(_check_l11(M, xels_of[pmeet.members]))
+    # The prime-meet down-set is the nil down-set: _radicals cross-asserts
+    # radical(bottom) = the meet of all primes.
+    results.append(_check_l10(M, xels_of[canon["n"].members]))
+    results.append(_check_l11(M, xels_of[canon["n"].members]))
     results.append(_check_l12(M, xels_of[canon["j"].members]))
     results.append(_check_l16(M, canon, xels_of))
     return SuiteReport(M.name, tuple(results))

@@ -4,11 +4,15 @@
 exhaustively, each equation once: commutativity, top acting as identity,
 annihilation of bottom, distribution of the product over binary joins
 (with annihilation, distribution over every finite join), and
-associativity; together these imply a*b <= a^b. A table that survives
-becomes a :class:`MultiplicativeLattice`: a :class:`FiniteLattice` with the
-table and a name added, which precomputes the data the classification sweeps
-lean on: radicals (by two independent formulas, cross-asserted),
-prime/maximal element sets, and the residual table.
+associativity; together these imply a*b <= a^b. The two cubic identities
+are checked on the join-irreducibles J(L), which every element is the join
+of: distribution over L x J(L) and associativity over J(L)^3. A table they
+reject is scanned again over all tuples, which names the first violation.
+A table that survives becomes a :class:`MultiplicativeLattice`: a
+:class:`FiniteLattice` with the table and a name added, which precomputes
+the data the classification sweeps lean on: radicals (by two independent
+formulas, cross-asserted), prime/maximal element sets, and the residual
+table.
 
 Every query is pure; negative classification answers expose the first
 violating tuple in element-index order.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .order import FiniteLattice, iter_bits, mask_of
@@ -102,13 +107,9 @@ class MultiplicativeLattice(FiniteLattice):
     @cached_property
     def _prod_below(self) -> tuple[tuple[int, ...], ...]:
         # _prod_below[a][i] = (i : a). The b with a*b <= i form a down-set closed
-        # under joins, so (i : a) is the join of its join-irreducibles (Dilworth
-        # 1962): the q covering exactly one element, i.e. whose strict down-set
-        # is principal (bottom's is empty, so never principal).
+        # under joins, so (i : a) is the join of its join-irreducibles.
         n = self.size
-        up, down, join = self.order.up, self.order.down, self.join_table
-        principal = set(down)
-        irreducibles = [q for q in range(n) if (down[q] ^ (1 << q)) in principal]
+        up, join, irreducibles = self.order.up, self.join_table, self.join_irreducibles
         rows = []
         for a in range(n):
             acc = [self.bottom] * n
@@ -256,13 +257,29 @@ def attach_multiplication(
     table: Iterable[Iterable[int]],
     name: str = "L",
 ) -> MultiplicativeLattice:
-    """Validate every axiom on every tuple and wrap the result.
+    """Validate every axiom and wrap the result.
 
     Checks, in order: entry range, commutativity, top identity, bottom
     annihilation, distribution over binary joins, and associativity.
-    Raises AxiomViolation naming the first offending tuple. The bound
-    a*b <= a^b needs no scan: distribution over the pair (b, top) gives
-    a = a*top = a*b v a*top, so a*b <= a, and by commutativity a*b <= b.
+    Raises AxiomViolation naming the first offending tuple in index order.
+
+    The two cubic identities are checked on the join-irreducibles J(L), in
+    O(n^2 |J|) and O(|J|^3) instead of O(n^3):
+
+    * Distribution: a*(x v q) = a*x v a*q for all a, x and q in J(L) gives
+      a*(x v y) = a*x v a*y for every y, in any finite lattice. Write
+      y = q1 v ... v qk over J(L) and induct on k. k = 0 is annihilation;
+      with y' = q1 v ... v q(k-1), a*(x v y) = a*((x v y') v qk)
+      = a*(x v y') v a*qk = a*x v a*y' v a*qk = a*x v a*y.
+    * Associativity: given commutativity, annihilation and distribution,
+      a*(b*c) and (a*b)*c preserve every finite join, the empty one
+      included, in each argument; so they agree everywhere once they agree
+      on J(L)^3.
+
+    A table these checks reject is scanned again over all tuples in index
+    order, which names the first violation. The bound a*b <= a^b needs no
+    scan: distribution over the pair (b, top) gives a = a*top = a*b v a*top,
+    so a*b <= a, and by commutativity a*b <= b.
     """
     rows = tuple(tuple(r) for r in table)
     n = lattice.size
@@ -285,6 +302,50 @@ def attach_multiplication(
             raise AxiomViolation("identity", (a,), f"a*top = {rows[a][top]}")
         if rows[a][bottom] != bottom:
             raise AxiomViolation("annihilation", (a,), f"a*bottom = {rows[a][bottom]}")
+    irreducibles = lattice.join_irreducibles
+    if not (
+        _distributes_over_irreducibles(rows, lattice.join_table, irreducibles)
+        and _associative_on_irreducibles(rows, irreducibles)
+    ):
+        _full_axiom_scan(lattice, rows)
+        raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
+    base = {f.name: getattr(lattice, f.name) for f in fields(FiniteLattice)}
+    return MultiplicativeLattice(**base, table=rows, name=name)
+
+
+def _distributes_over_irreducibles(
+    rows: tuple[tuple[int, ...], ...],
+    join: tuple[tuple[int, ...], ...],
+    irreducibles: tuple[int, ...],
+) -> bool:
+    """a*(x v q) == a*x v a*q for every a, every x and every q in J(L)."""
+    # join is symmetric, so join[q] lists x v q for every x.
+    joined = [(q, itemgetter(*join[q])) for q in irreducibles]
+    for row in rows:
+        at = itemgetter(*row)
+        for q, with_q in joined:
+            if with_q(row) != at(join[row[q]]):
+                return False
+    return True
+
+
+def _associative_on_irreducibles(
+    rows: tuple[tuple[int, ...], ...], irreducibles: tuple[int, ...]
+) -> bool:
+    """a*(b*c) == (a*b)*c for every a, b and c in J(L)."""
+    for a in irreducibles:
+        row_a = rows[a]
+        for b in irreducibles:
+            row_b, row_ab = rows[b], rows[row_a[b]]
+            for c in irreducibles:
+                if row_a[row_b[c]] != row_ab[c]:
+                    return False
+    return True
+
+
+def _full_axiom_scan(lattice: FiniteLattice, rows: tuple[tuple[int, ...], ...]) -> None:
+    """Distribution, then associativity, over all tuples; raises at the first failure."""
+    n = lattice.size
     join = lattice.join_table
     for a in range(n):
         row_a = rows[a]
@@ -311,8 +372,6 @@ def attach_multiplication(
                         (a, b, c),
                         f"a*(b*c) = {row_a[row_b[c]]}, (a*b)*c = {rows[ab][c]}",
                     )
-    base = {f.name: getattr(lattice, f.name) for f in fields(FiniteLattice)}
-    return MultiplicativeLattice(**base, table=rows, name=name)
 
 
 def trivial_mult(lattice: FiniteLattice, name: str = "L") -> MultiplicativeLattice:

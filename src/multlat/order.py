@@ -11,6 +11,7 @@ immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -159,6 +160,18 @@ class FiniteLattice:
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
+
+    @cached_property
+    def join_irreducibles(self) -> tuple[int, ...]:
+        """J(L) in index order: the q covering exactly one element.
+
+        Those are the q whose strict down-set is principal (bottom's is empty,
+        so never principal). Every element is the join of the members of J(L)
+        below it (Dilworth 1962).
+        """
+        down = self.order.down
+        principal = set(down)
+        return tuple(q for q in range(self.size) if (down[q] ^ (1 << q)) in principal)
 
 
 def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -> FiniteLattice:

@@ -179,3 +179,24 @@ def test_l10_reads_the_suites_prime_meet_x_elements(z12, z15, kite, monkeypatch)
         report = lemma_suite(M)
         assert_suite_passes(report)
         assert report.render() == want[M.name]
+
+
+def test_suite_builds_no_prime_meet_downset(z12, z15, kite, monkeypatch):
+    # The prime-meet down-set is the nil down-set (radical(bottom) is the
+    # meet of all primes), so the suite reads L10 and L11 off the nil set.
+    import multlat.classify as classify
+    import multlat.lemmas as lemmas
+    from conftest import n5_plus_top
+
+    instances = (z12, z15, kite, ideal_lattice_zn(8)[0], chain_lattice(5, "meet"), n5_plus_top())
+    want = {M.name: lemma_suite(M).render() for M in instances}
+
+    def no_build(M, name="pmeet"):
+        raise AssertionError("prime_meet_downset called during lemma_suite")
+
+    monkeypatch.setattr(classify, "prime_meet_downset", no_build)
+    monkeypatch.setattr(lemmas, "prime_meet_downset", no_build, raising=False)
+    for M in instances:
+        report = lemma_suite(M)
+        assert_suite_passes(report)
+        assert report.render() == want[M.name]

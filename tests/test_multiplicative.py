@@ -6,6 +6,7 @@ under addition by hand), then frozen.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,13 @@ from multlat import (
     ideal_lattice_product,
     ideal_lattice_zn,
     lattice_from_pairs,
+    load_path,
     meet_mult,
     trivial_mult,
 )
+from multlat import multiplicative
 from conftest import (
+    LATTICE_DIR,
     brute_force_axioms_hold,
     div_index,
     first_axiom_violation,
@@ -397,6 +401,70 @@ def test_axiom_witness_matches_the_full_scan():
         assert got == want, (rows, want)
         seen.add(want and want[0])
     assert "associativity" in seen and "product-below-meet" not in seen
+
+
+def tables_from_irreducibles(M, count, seed):
+    """Tables fixed by commutative values on J(L) x J(L), extended by joins.
+
+    Each value p*q starts as M's own product and is redrawn below p^q with
+    probability 1/3; p*top = p. The extension x*y joins the p*q over p <= x
+    and q <= y in J(L), then top is made the identity, so every table passes
+    the O(n^2) axioms and only distribution or associativity can fail.
+    """
+    rng = random.Random(seed)
+    irr, top, down = M.join_irreducibles, M.top, M.order.down
+    for _ in range(count):
+        value = {}
+        for p, q in itertools.combinations_with_replacement(irr, 2):
+            v = M.product(p, q)
+            if top not in (p, q) and rng.random() < 1 / 3:
+                v = rng.choice(sorted(M.down_set(M.meet(p, q))))
+            value[p, q] = value[q, p] = v
+        rows = [
+            [M.big_join(value[p, q] for p in irr if down[x] >> p & 1
+                        for q in irr if down[y] >> q & 1) for y in range(M.size)]
+            for x in range(M.size)
+        ]
+        for x in range(M.size):
+            rows[x][top] = rows[top][x] = x
+        yield rows
+
+
+def test_irreducible_checks_match_the_full_scan():
+    # Distributive and not; meet, trivial and ring products.
+    instances = (m3_plus_top(), n5_plus_top(), chain_lattice(7, "meet"),
+                 ideal_lattice_zn(72)[0], ideal_lattice_product(4, 4)[0])
+    seen = set()
+    for seed, M in enumerate(instances):
+        for rows in tables_from_irreducibles(M, 150, seed):
+            want = first_axiom_violation(M, rows)
+            try:
+                attach_multiplication(M, rows)
+                got = None
+            except AxiomViolation as exc:
+                got = exc.axiom, exc.witness
+            assert got == want, (M.name, rows)
+            assert (got is None) == brute_force_axioms_hold(M, rows), (M.name, rows)
+            seen.add(want and want[0])
+    assert seen == {None, "distributivity", "associativity"}
+
+
+def test_valid_tables_never_reach_the_full_scan(monkeypatch):
+    def no_full_scan(lattice, rows):
+        raise AssertionError("full axiom scan run on a valid table")
+
+    monkeypatch.setattr(multiplicative, "_full_axiom_scan", no_full_scan)
+    for M in (ideal_lattice_zn(720720)[0], ideal_lattice_product(72, 72)[0],
+              load_path(LATTICE_DIR / "n5-top.lat")[0]):
+        again = attach_multiplication(M, M.table, M.name)
+        assert again.table == M.table
+
+
+def test_full_scan_accepting_a_rejected_table_raises(monkeypatch):
+    M = m3_plus_top()
+    monkeypatch.setattr(multiplicative, "_distributes_over_irreducibles", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        attach_multiplication(M, M.table)
 
 
 @given(n=st.integers(2, 240))

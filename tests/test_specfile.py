@@ -16,6 +16,7 @@ from multlat import (
     x_elements,
     zero_divisor_set,
 )
+from conftest import first_axiom_violation
 
 KITE_TEXT = """\
 name: K
@@ -100,7 +101,8 @@ def test_parse_error_bad_table():
 
 
 def test_corrupt_table_raises_axiom_violation():
-    # break associativity/identity by redirecting a product of the kite table
+    # Redirect b*b on the kite, which is not distributive: the J(L) checks
+    # reject the table and the error names the reference scan's first failure.
     text = KITE_TEXT.replace("multiplication: trivial", "multiplication: table")
     rows = {
         "0": "0 0 0 0 0 0",
@@ -113,7 +115,11 @@ def test_corrupt_table_raises_axiom_violation():
     text += "".join(f"row {k}: {v}\n" for k, v in rows.items())
     with pytest.raises(AxiomViolation) as err:
         loads(text.replace("xset proper: 0 a b c d\n", ""))
-    assert err.value.axiom in ("distributivity", "associativity", "product-below-meet")
+    K = loads(KITE_TEXT)[0]
+    table = [[K.index_of(t) for t in row.split()] for row in rows.values()]
+    want = first_axiom_violation(K, table)
+    assert want is not None
+    assert (err.value.axiom, err.value.witness) == want
 
 
 def test_invalid_xset_raises_not_m_closed(z12):
