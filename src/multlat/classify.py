@@ -203,7 +203,7 @@ def residual_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -
     """
     if i == M.top:
         return False
-    return all(M.residual(i, a) == i for a in range(M.size) if a not in X)
+    return all(row[i] == i for a, row in enumerate(M._prod_below) if a not in X)
 
 
 # -- X-multiplicatively closed sets -------------------------------------------

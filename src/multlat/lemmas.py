@@ -218,19 +218,14 @@ def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
 def _check_l7(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
     """Four equivalent characterizations of X-elements via residuals agree."""
     xmask = X.mask
+    below, down = M._prod_below, M.order.down
     for i in M.proper_elements():
         direct = i in xels
         via_residual_fixed = residual_characterization(M, X, i)
-        via_residual_xel = all(
-            M.residual(i, a) in xels
-            for a in range(M.size)
-            if not M.leq(a, i)
-        )
-        via_residual_down = all(
-            M.down_mask(M.residual(i, a)) & ~xmask == 0
-            for a in range(M.size)
-            if not M.leq(a, i)
-        )
+        # (i : a) for every a not <= i.
+        outside = [row[i] for a, row in enumerate(below) if not down[i] >> a & 1]
+        via_residual_xel = all(r in xels for r in outside)
+        via_residual_down = all(down[r] & ~xmask == 0 for r in outside)
         if not direct == via_residual_fixed == via_residual_xel == via_residual_down:
             return CheckResult(
                 "L7", X.name, False,

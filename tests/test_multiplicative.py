@@ -5,6 +5,7 @@ the bottom of this file (ideals as explicit subsets of Z_n, products closed
 under addition by hand), then frozen.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -190,6 +191,90 @@ def test_residual_table_answers_without_joins(z12, kite, monkeypatch):
                 assert M.annihilator(a) == want[M.bottom, a], (M.name, a)
 
 
+class CountingRow:
+    """A table row that counts its lookups and fails past ``limit`` of them."""
+
+    def __init__(self, row, reads, limit=None):
+        self.row, self.reads, self.limit = row, reads, limit
+
+    def __getitem__(self, k):
+        self.reads[0] += 1
+        assert self.limit is None or self.reads[0] <= self.limit, "too many table lookups"
+        return self.row[k]
+
+    def __len__(self):
+        return len(self.row)
+
+
+def literal_residual(M, i, a):
+    """(i : a) from its definition: scan every x with x*a <= i for the largest."""
+    fits = [x for x in range(M.size) if M.leq(M.product(x, a), i)]
+    every = sum(1 << x for x in fits)
+    greatest = [x for x in fits if M.down_mask(x) & every == every]
+    assert len(greatest) == 1, (M.name, i, a, fits)
+    return greatest[0]
+
+
+def assert_residuals_literal(M):
+    """The table against the definition, and the identity its build relies on."""
+    R = range(M.size)
+    for a in R:
+        for i in R:
+            assert M._prod_below[a][i] == literal_residual(M, i, a), (M.name, i, a)
+    for i in R:
+        for b in R:
+            for c in R:
+                assert M.residual(i, M.join(b, c)) == M.meet(
+                    M.residual(i, b), M.residual(i, c)
+                ), (M.name, i, b, c)
+
+
+def irreducible_generated_instances():
+    """The accepted tables of ``tables_from_irreducibles`` on five lattices."""
+    instances = (m3_plus_top(), n5_plus_top(), chain_lattice(7, "meet"),
+                 ideal_lattice_zn(72)[0], ideal_lattice_product(4, 4)[0])
+    for seed, M in enumerate(instances):
+        for rows in tables_from_irreducibles(M, 150, seed):
+            try:
+                yield attach_multiplication(M, rows, M.name)
+            except AxiomViolation:
+                continue
+
+
+def test_residual_table_matches_its_definition(z12, kite):
+    for M in residual_instances(z12, kite):
+        assert_residuals_literal(M)
+    accepted = list(irreducible_generated_instances())
+    non_distributive = [M for M in accepted if M.name in ("M3+top", "N5+top")]
+    assert len(accepted) > 100 and len(non_distributive) > 20
+    for M in accepted:
+        assert_residuals_literal(M)
+
+
+@given(n=st.integers(2, 240), m=st.integers(2, 16), k=st.integers(2, 16))
+@settings(max_examples=30, deadline=None)
+def test_residual_table_matches_its_definition_property(n, m, k):
+    assert_residuals_literal(ideal_lattice_zn(n)[0])
+    assert_residuals_literal(ideal_lattice_product(m, k)[0])
+
+
+def test_residual_table_lookups_are_bounded():
+    # n*|J|^2 joins for the J(L) rows and one meet per entry of the others.
+    # One join per (a, q in J(L), i >= a*q) would need 446,720 on zn:720720.
+    for M, bound in ((ideal_lattice_zn(720720)[0], 81_600),
+                     (ideal_lattice_product(72, 72)[0], 35_136)):
+        n, j = M.size, len(M.join_irreducibles)
+        assert n * j * j + n * n == bound
+        reads = [0]
+        twin = dataclasses.replace(
+            M,
+            join_table=tuple(CountingRow(r, reads) for r in M.join_table),
+            meet_table=tuple(CountingRow(r, reads) for r in M.meet_table),
+        )
+        assert twin._prod_below == M._prod_below
+        assert 0 < reads[0] <= bound, (M.name, reads[0])
+
+
 def test_n5_plus_top_has_a_non_trivial_product():
     M = n5_plus_top()
     a, b, c, m = (M.index_of(s) for s in "abcm")
@@ -215,6 +300,20 @@ def test_power_examples(z12):
     assert z12.power(z12.top, 5) == z12.top
     with pytest.raises(ValueError):
         z12.power(i2, 0)
+
+
+def test_power_stops_at_its_fixed_point():
+    # a^k for a huge k reads the table at most n times: the powers descend,
+    # so they stop changing after at most n - 1 products.
+    for M in (ideal_lattice_zn(72)[0], m3_plus_top(), n5_plus_top(), chain_lattice(6, "meet")):
+        reads = [0]
+        twin = dataclasses.replace(
+            M, table=tuple(CountingRow(r, reads, limit=M.size) for r in M.table)
+        )
+        for a in range(M.size):
+            reads[0] = 0
+            assert twin.power(a, 10**12) == M.big_meet(M.power_closure(a)), (M.name, a)
+            assert reads[0] <= len(M.power_closure(a)), (M.name, a)
 
 
 def test_power_closure_bounded(z12, kite):
