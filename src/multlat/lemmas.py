@@ -34,8 +34,7 @@ from .classify import (
     x_witness,
 )
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
-from .order import iter_bits
-
+from .order import iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,7 @@ def _check_l1(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
     """X-elements sit inside X; for X a principal down-set of its own join, X-element = prime."""
     xmask = X.mask
     for i in M.proper_elements():
-        if i in xels and M.down_mask(i) & ~xmask:
-            stray = M.down_mask(i) & ~xmask
+        if i in xels and (stray := M.down_mask(i) & ~xmask):
             return CheckResult(
                 "L1", X.name, False,
                 f"{M.label(i)} is an X-element but {_lbl(M, next(iter_bits(stray)))} below it is outside X",
@@ -177,10 +175,12 @@ def _check_l3(M: MultiplicativeLattice) -> CheckResult:
 
 def _check_l4(M: MultiplicativeLattice) -> CheckResult:
     """If every proper element is an X-element for a proper down-set, its generator is the unique maximal."""
+    # i is an X-element iff (i : a) = i for all a outside X; (top : a) = top always.
     maxima = M.max_elements()
+    identity = tuple(range(M.size))
+    fixed = mask_of(a for a, row in enumerate(M._prod_below) if row == identity)
     for m in M.proper_elements():
-        X = downset_m_closed(M, m)
-        if all(is_x_element(M, X, i) for i in M.proper_elements()):
+        if not M.full_mask & ~(M.down_mask(m) | fixed):
             if maxima != {m}:
                 return CheckResult(
                     "L4", "global", False,

@@ -55,11 +55,8 @@ class LatticeSpecFile:
     xsets: tuple[tuple[str, str, tuple[str, ...]], ...]  # (name, kind, payload)
 
 
-def _value_tokens(line: str, colon: int) -> list[tuple[str, int]]:
-    return [
-        (m.group(), colon + 2 + m.start())
-        for m in re.finditer(r"\S+", line[colon + 1 :])
-    ]
+def _tokens(line: str, start: int, stop: int) -> list[tuple[str, int]]:
+    return [(m.group(), m.start() + 1) for m in re.compile(r"\S+").finditer(line, start, stop)]
 
 
 def parse_spec(text: str) -> LatticeSpecFile:
@@ -87,8 +84,9 @@ def parse_spec(text: str) -> LatticeSpecFile:
         colon = line.find(":")
         if colon < 0:
             raise ParseError(lineno, 1, "expected 'directive: value'")
-        key = line[:colon].split()
-        values = _value_tokens(line, colon)
+        key_tokens = _tokens(line, 0, colon)
+        key = [tok for tok, _ in key_tokens]
+        values = _tokens(line, colon + 1, len(line))
         if not key:
             raise ParseError(lineno, 1, "missing directive name")
         head = key[0]
@@ -114,7 +112,7 @@ def parse_spec(text: str) -> LatticeSpecFile:
                 raise ParseError(lineno, col, "expected trivial, meet or table")
             mult_kind = values[0][0]
         elif head == "row" and len(key) == 2:
-            row_label = check_label(key[1], lineno, line.find(key[1]) + 1)
+            row_label = check_label(key[1], lineno, key_tokens[1][1])
             if row_label in row_map:
                 raise ParseError(lineno, 1, f"duplicate row for {row_label!r}")
             n = len(need_labels(lineno))

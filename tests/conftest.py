@@ -1,8 +1,21 @@
+import itertools
+import random
 from pathlib import Path
 
 import pytest
 
-from multlat import ideal_lattice_zn, kite_lattice, lattice_from_pairs, load_path, trivial_mult
+from multlat import (
+    AxiomViolation,
+    acceptance_corpus,
+    attach_multiplication,
+    chain_lattice,
+    ideal_lattice_product,
+    ideal_lattice_zn,
+    kite_lattice,
+    lattice_from_pairs,
+    load_path,
+    trivial_mult,
+)
 
 LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
 
@@ -37,6 +50,59 @@ def m3_plus_top():
 def n5_plus_top():
     """N_5 with a new top, from ``lattices/n5-top.lat``; b*b = a."""
     return load_path(LATTICE_DIR / "n5-top.lat")[0]
+
+
+def tables_from_irreducibles(M, count, seed):
+    """Tables fixed by commutative values on J(L) x J(L), extended by joins.
+
+    Each value p*q starts as M's own product and is redrawn below p^q with
+    probability 1/3; p*top = p. The extension x*y joins the p*q over p <= x
+    and q <= y in J(L), then top is made the identity, so every table passes
+    the O(n^2) axioms and only distribution or associativity can fail.
+    """
+    rng = random.Random(seed)
+    irr, top, down = M.join_irreducibles, M.top, M.order.down
+    for _ in range(count):
+        value = {}
+        for p, q in itertools.combinations_with_replacement(irr, 2):
+            v = M.product(p, q)
+            if top not in (p, q) and rng.random() < 1 / 3:
+                v = rng.choice(sorted(M.down_set(M.meet(p, q))))
+            value[p, q] = value[q, p] = v
+        rows = [
+            [M.big_join(value[p, q] for p in irr if down[x] >> p & 1
+                        for q in irr if down[y] >> q & 1) for y in range(M.size)]
+            for x in range(M.size)
+        ]
+        for x in range(M.size):
+            rows[x][top] = rows[top][x] = x
+        yield rows
+
+
+def irreducible_generated_instances():
+    """The accepted tables of ``tables_from_irreducibles`` on five lattices."""
+    instances = (m3_plus_top(), n5_plus_top(), chain_lattice(7, "meet"),
+                 ideal_lattice_zn(72)[0], ideal_lattice_product(4, 4)[0])
+    for seed, M in enumerate(instances):
+        for rows in tables_from_irreducibles(M, 150, seed):
+            try:
+                yield attach_multiplication(M, rows, M.name)
+            except AxiomViolation:
+                continue
+
+
+def x_set_instances():
+    """``acceptance_corpus(120)``, M3+top, N5+top, meet chains 2..8, the
+    shipped spec files, prod:72,72 and the J(L)-generated tables."""
+    yield from acceptance_corpus(120)
+    yield m3_plus_top()
+    yield n5_plus_top()
+    for n in range(2, 9):
+        yield chain_lattice(n, "meet")
+    for path in sorted(LATTICE_DIR.glob("*.lat")):
+        yield load_path(path)[0]
+    yield ideal_lattice_product(72, 72)[0]
+    yield from irreducible_generated_instances()
 
 
 def div_index(M, label: str) -> int:

@@ -37,7 +37,8 @@ from multlat import (
     x_witness,
     zero_divisor_set,
 )
-from conftest import div_index
+from multlat.classify import m_closed_witness
+from conftest import div_index, m3_plus_top, n5_plus_top, x_set_instances
 
 
 def members_by_label(M, *labels):
@@ -79,6 +80,52 @@ def test_not_m_closed_witness(z12):
 def test_empty_set_rejected(z12):
     with pytest.raises(ValueError):
         make_m_closed(z12, set())
+
+
+def test_proven_m_closed_sets_pass_the_closure_scan():
+    # Down-sets and Z(L) are built without the scan; their closure proofs
+    # (a*b <= a, and (a*b)*x = b*(a*x)) must agree with it.
+    for M in x_set_instances():
+        assert m_closed_witness(M, zero_divisor_set(M).members) is None, M.name
+        for j in range(M.size):
+            assert m_closed_witness(M, downset_m_closed(M, j).members) is None, (M.name, j)
+
+
+def test_built_in_sets_are_not_scanned_for_closure(monkeypatch, capsys, lattice_dir):
+    import multlat.classify as classify
+    from multlat import cross_validate, lemma_suite, parse_corpus_spec, search_corpus
+    from multlat.cli import main
+    from multlat.search import PROPERTIES
+
+    lattices = [M for M, _ in parse_corpus_spec("zn:2..60")]
+    lattices += [chain_lattice(n, "meet") for n in range(2, 9)]
+    lattices += [kite_lattice(), m3_plus_top(), n5_plus_top(), ideal_lattice_product(4, 9)[0]]
+    spec = str(lattice_dir / "chain5-meet.lat")  # declares keyword sets only
+    argvs = [["classify", "zn:36", "--x", x] for x in ("zdiv", "nil", "jrad", "downset:(6)")]
+    argvs += [["verify", "zn:36", "--x", "zdiv", "--x", "nil", "--x", "jrad", "--x", "downset:(6)"],
+              ["classify", spec, "--json"], ["verify", spec],
+              ["dot", "zn:12", "--x", "downset:(2)"]]
+
+    def outputs():
+        out = [lemma_suite(M).render() for M in lattices]
+        out += [report_to_json(classify_lattice(M)) for M in lattices]
+        out += [cross_validate(*ideal_lattice_zn(n)).render() for n in (12, 36, 60)]
+        out.append(cross_validate(*ideal_lattice_product(4, 9)).render())
+        out += [[hit.render() for hit in search_corpus(lattices, p)] for p in PROPERTIES]
+        for argv in argvs:
+            out.append((main(argv), capsys.readouterr().out))
+        return out
+
+    want = outputs()
+    assert all(code == 0 for code, _ in want[-len(argvs):])
+
+    def no_scan(M, members):
+        raise AssertionError("closure scan of a set that is M-closed by proof")
+
+    monkeypatch.setattr(classify, "m_closed_witness", no_scan)
+    assert outputs() == want
+    with pytest.raises(AssertionError):  # declared member lists keep the scan
+        make_m_closed(lattices[0], {0})
 
 
 def test_canonical_sets(z12, z15):
@@ -180,7 +227,6 @@ def test_random_m_closed_sets_characterization_agreement():
     # M-closed, every characterization of the X-element predicate must agree.
     from hypothesis import given, settings
     from hypothesis import strategies as st
-    from multlat.classify import m_closed_witness
 
     @given(
         n=st.sampled_from([6, 8, 12, 16, 18, 20]),

@@ -19,7 +19,8 @@ from multlat import (
     x_elements,
 )
 from multlat.classify import distinct_sets
-from conftest import div_index
+from multlat.lemmas import CheckResult, _check_l4, _lbl
+from conftest import div_index, x_set_instances
 
 
 def assert_suite_passes(report):
@@ -142,8 +143,8 @@ def test_suite_reports_failures_with_witnesses(z12, monkeypatch):
     ids=["zn:360", "prod:4,9", "chain:6", "kite"],
 )
 def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
-    # One pass per distinct set (k*p), then L3 (at most p) and L4 (at most
-    # p per candidate down-set): every other check reads the shared pass.
+    # One pass per distinct set (k*p), then L3 (at most p); L4 reads the
+    # residual table and every other check reads the shared pass.
     import multlat.lemmas as lemmas
 
     M = build()
@@ -159,7 +160,7 @@ def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
     assert_suite_passes(lemmas.lemma_suite(M))
     k = len(distinct_sets([*canonical_sets(M).values(), prime_meet_downset(M)]))
     p = len(M.proper_elements())
-    assert calls <= k * p + p + p * p, (calls, k, p)
+    assert calls <= k * p + p, (calls, k, p)
 
 
 def test_l10_reads_the_suites_prime_meet_x_elements(z12, z15, kite, monkeypatch):
@@ -200,3 +201,40 @@ def test_suite_builds_no_prime_meet_downset(z12, z15, kite, monkeypatch):
         report = lemma_suite(M)
         assert_suite_passes(report)
         assert report.render() == want[M.name]
+
+
+def l4_by_down_sets(M):
+    """L4 as a loop over the down-sets, deciding every X-element: the reference."""
+    maxima = M.max_elements()
+    for m in M.proper_elements():
+        X = downset_m_closed(M, m)
+        if all(is_x_element(M, X, i) for i in M.proper_elements()):
+            if maxima != {m}:
+                return CheckResult(
+                    "L4", "global", False,
+                    f"every proper element is an X-element for the down-set of {M.label(m)} "
+                    f"yet the maximal elements are {{{_lbl(M, *sorted(maxima))}}}",
+                )
+    return CheckResult("L4", "global", True)
+
+
+def test_l4_matches_the_down_set_loop():
+    local = 0
+    for M in x_set_instances():
+        want = l4_by_down_sets(M)
+        assert _check_l4(M) == want, M.name
+        local += M.is_local()
+    assert local > 20
+
+
+def test_l4_failure_matches_the_down_set_loop(monkeypatch):
+    # zn:8 is local with maximal (2); claiming every proper element is maximal
+    # makes both routes report the down-set of (2) with the same witness.
+    from multlat import MultiplicativeLattice
+
+    M = ideal_lattice_zn(8)[0]
+    every = frozenset(M.proper_elements())
+    monkeypatch.setattr(MultiplicativeLattice, "max_elements", lambda self: every)
+    got = _check_l4(M)
+    assert not got.passed and "down-set of (2)" in got.witness
+    assert got == l4_by_down_sets(M)

@@ -7,7 +7,6 @@ under addition by hand), then frozen.
 
 import dataclasses
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +33,10 @@ from conftest import (
     brute_force_axioms_hold,
     div_index,
     first_axiom_violation,
+    irreducible_generated_instances,
     m3_plus_top,
     n5_plus_top,
+    tables_from_irreducibles,
 )
 
 
@@ -227,18 +228,6 @@ def assert_residuals_literal(M):
                 assert M.residual(i, M.join(b, c)) == M.meet(
                     M.residual(i, b), M.residual(i, c)
                 ), (M.name, i, b, c)
-
-
-def irreducible_generated_instances():
-    """The accepted tables of ``tables_from_irreducibles`` on five lattices."""
-    instances = (m3_plus_top(), n5_plus_top(), chain_lattice(7, "meet"),
-                 ideal_lattice_zn(72)[0], ideal_lattice_product(4, 4)[0])
-    for seed, M in enumerate(instances):
-        for rows in tables_from_irreducibles(M, 150, seed):
-            try:
-                yield attach_multiplication(M, rows, M.name)
-            except AxiomViolation:
-                continue
 
 
 def test_residual_table_matches_its_definition(z12, kite):
@@ -500,33 +489,6 @@ def test_axiom_witness_matches_the_full_scan():
         assert got == want, (rows, want)
         seen.add(want and want[0])
     assert "associativity" in seen and "product-below-meet" not in seen
-
-
-def tables_from_irreducibles(M, count, seed):
-    """Tables fixed by commutative values on J(L) x J(L), extended by joins.
-
-    Each value p*q starts as M's own product and is redrawn below p^q with
-    probability 1/3; p*top = p. The extension x*y joins the p*q over p <= x
-    and q <= y in J(L), then top is made the identity, so every table passes
-    the O(n^2) axioms and only distribution or associativity can fail.
-    """
-    rng = random.Random(seed)
-    irr, top, down = M.join_irreducibles, M.top, M.order.down
-    for _ in range(count):
-        value = {}
-        for p, q in itertools.combinations_with_replacement(irr, 2):
-            v = M.product(p, q)
-            if top not in (p, q) and rng.random() < 1 / 3:
-                v = rng.choice(sorted(M.down_set(M.meet(p, q))))
-            value[p, q] = value[q, p] = v
-        rows = [
-            [M.big_join(value[p, q] for p in irr if down[x] >> p & 1
-                        for q in irr if down[y] >> q & 1) for y in range(M.size)]
-            for x in range(M.size)
-        ]
-        for x in range(M.size):
-            rows[x][top] = rows[top][x] = x
-        yield rows
 
 
 def test_irreducible_checks_match_the_full_scan():

@@ -100,6 +100,18 @@ def test_parse_error_bad_table():
         parse_spec(base + "row a: a a\nrow a: a a\nrow b: a b\n")  # duplicate
 
 
+@pytest.mark.parametrize(
+    "row_line, col",
+    [("row o: a a", 5), ("row  w: a a", 6), ("row r: a a", 5), ("  row\tow: a a", 7)],
+)
+def test_parse_error_unknown_row_label_column(row_line, col):
+    # The column is the label's own, even when the label also occurs in "row".
+    with pytest.raises(ParseError) as err:
+        parse_spec("elements: a b\norder: a < b\nmultiplication: table\n" + row_line + "\n")
+    assert (err.value.line, err.value.col) == (4, col)
+    assert row_line[col - 1 :].startswith(row_line.split(":")[0].split()[1])
+
+
 def test_corrupt_table_raises_axiom_violation():
     # Redirect b*b on the kite, which is not distributive: the J(L) checks
     # reject the table and the error names the reference scan's first failure.
