@@ -218,7 +218,11 @@ def x_mult_closed_witness(
     Witness forms: ("missing", a) when a is outside X but not a member;
     ("escapes", a1, a2, prod) when a1 outside X and a2 a member multiply out.
     """
-    amask = mask_of(members)
+    return _x_mult_closed_witness_mask(M, X, mask_of(members))
+
+
+def _x_mult_closed_witness_mask(M: MultiplicativeLattice, X: MClosedSet, amask: int) -> tuple | None:
+    """``x_mult_closed_witness`` on the members given as a mask."""
     outside = M.full_mask & ~X.mask
     missing = outside & ~amask
     if missing:
@@ -273,7 +277,7 @@ def complement_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int)
     if i == M.top:
         raise ValueError("i must be proper")
     # Nonempty, since top lies outside the down-set of a proper i.
-    return x_mult_closed_witness(M, X, iter_bits(M.full_mask & ~M.down_mask(i))) is None
+    return _x_mult_closed_witness_mask(M, X, M.full_mask & ~M.down_mask(i)) is None
 
 
 def maximal_x_avoiding(

@@ -3,23 +3,34 @@
 The lattice side encodes ideals of Z_n by the divisors of n: containment is
 reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
 is gcd(d1*d2, n). The ring side never touches that encoding: it works on
-actual ring elements through ``ring_elements``, ``mul``, ``zero``,
+actual ring elements through ``ring_elements``, ``mul``, ``one``, ``zero``,
 ``ideal_subset`` and ``proper_indices``, so agreement between the two
 classifications is a genuine two-route check rather than one algorithm
 tested against itself.
 
+The ring side works on associate classes {u*a : u a unit}, one
+representative each, the first member in element order. Two facts make
+that exact:
+
+- Units and nilpotents come from the powers of each element. a is a unit
+  exactly when its powers reach one: a^k = one gives a*a^(k-1) = one, and
+  a*v = one with a^i = a^j, i < j, gives a^(j-i) = one after multiplying by
+  v^i. a is nilpotent exactly when they reach zero.
+- Ideals, the zero divisors, the nilpotents and the Jacobson radical are
+  unions of classes, since each is closed under multiplication by units
+  and their inverses. So b is outside I exactly when u*b is, and a*(u*b)
+  is in I exactly when a*b is.
+
 Each model computes its ring sets once, on first use, and keeps them on the
-instance: the element tuple, the zero divisors (elements with a nonzero
-annihilator, by an element scan), the nilpotents (by powering) and the
-Jacobson radical (the intersection of the inclusion-maximal ideals, as
-subsets). The r-, n- and J-ideal definitions share one shape, "ab in I and a
-outside X force b in I", so one element-level scan per ideal serves all
-three. Call a *bad* for I when a*b is in I for some b outside I; then I is
-an r-, n- or J-ideal exactly when every bad a lies inside the zero
-divisors, the nilpotents or the Jacobson radical. Whether a is bad is
-decided at most once per ideal, by multiplying a with each element outside
-I, and only for the a outside the set being tested, up to the first bad
-one.
+instance: the element tuple, the units and nilpotents, the classes, the
+zero divisors and the Jacobson radical (the intersection of the
+inclusion-maximal ideals, as subsets). The r-, n- and J-ideal definitions
+share one shape, "ab in I and a outside X force b in I", so one scan per
+ideal serves all three. Call a *bad* for I when a*b is in I for some b
+outside I; then I is an r-, n- or J-ideal exactly when every bad a lies
+inside the zero divisors, the nilpotents or the Jacobson radical. Whether a
+representative is bad is decided at most once per ideal, by multiplying it
+with each representative outside I: O(c^2) products per ideal, c classes.
 
 ``cross_validate`` runs both routes over every proper ideal and raises
 CrossValidationMismatch on any disagreement.
@@ -93,12 +104,16 @@ class _RingSets:
         return tuple(self.ring_elements())
 
     @cached_property
-    def _zdiv(self) -> frozenset:
-        return ring_zero_divisors(self)
+    def _units_nil(self) -> tuple[frozenset, frozenset]:
+        return _power_pass(self)
 
     @cached_property
-    def _nil(self) -> frozenset:
-        return ring_nilpotents(self)
+    def _classes(self) -> dict:
+        return _associate_classes(self)
+
+    @cached_property
+    def _zdiv(self) -> frozenset:
+        return ring_zero_divisors(self)
 
     @cached_property
     def _jac(self) -> frozenset:
@@ -106,7 +121,7 @@ class _RingSets:
 
     @cached_property
     def _bad(self) -> dict[int, dict]:
-        return {}  # ideal index -> {a: whether a is a bad multiplier}, as far as scanned
+        return {}  # ideal index -> {representative: whether it is bad}, as far as scanned
 
 
 @dataclass(frozen=True)
@@ -127,6 +142,10 @@ class ZnIdealModel(_RingSets):
     @property
     def zero(self) -> int:
         return 0
+
+    @property
+    def one(self) -> int:
+        return 1
 
     def ideal_subset(self, index: int) -> frozenset[int]:
         d = self.divisors[index]
@@ -158,6 +177,10 @@ class ProductRingModel(_RingSets):
     @property
     def zero(self) -> tuple[int, int]:
         return (0, 0)
+
+    @property
+    def one(self) -> tuple[int, int]:
+        return (1, 1)
 
     def ideal_subset(self, index: int) -> frozenset[tuple[int, int]]:
         d1, d2 = self.pairs[index]
@@ -226,29 +249,68 @@ def ideal_lattice_product(m: int, n: int) -> tuple[MultiplicativeLattice, Produc
     return M, model
 
 
-# -- ring-side classification (element scans only) ----------------------------
+# -- ring-side classification (associate classes) ------------------------------
+
+
+def _power_pass(model) -> tuple[frozenset, frozenset]:
+    """(units, nilpotents), decided on the powers of each element.
+
+    A power a^i (i >= 1) is a unit or nilpotent exactly when a is, so a walk
+    along a's powers stops at the first one already decided, or at the
+    first repeat, and its verdict holds for every power it met. Each element
+    joins exactly one walk, and the pass makes |R| products in all.
+    """
+    zero, one, mul = model.zero, model.one, model.mul
+    verdict: dict = {}  # element -> (unit, nilpotent)
+    for a in model._elements:
+        if a in verdict:
+            continue
+        seen = {a}
+        cur = mul(a, a)
+        while cur not in seen and cur not in verdict:
+            seen.add(cur)
+            cur = mul(cur, a)
+        v = verdict[cur] if cur in verdict else (one in seen, zero in seen)
+        verdict.update(zip(seen, repeat(v)))
+    return (
+        frozenset(x for x, (unit, _) in verdict.items() if unit),
+        frozenset(x for x, (_, nil) in verdict.items() if nil),
+    )
+
+
+def _associate_classes(model) -> dict:
+    """Representative -> its class {u*a : u a unit}, in element order.
+
+    Each class is the orbit of the first element not yet in a class, so its
+    representative is its first member.
+    """
+    units = model._units_nil[0]
+    classes: dict = {}
+    assigned: set = set()
+    for a in model._elements:
+        if a not in assigned:
+            classes[a] = cls = frozenset(map(model.mul, units, repeat(a)))
+            assigned |= cls
+    return classes
 
 
 def ring_zero_divisors(model) -> frozenset:
-    """The a with a*x = 0 for some nonzero x (zero included)."""
+    """The a with a*x = 0 for some nonzero x (zero included).
+
+    Decided per representative against the nonzero representatives, since
+    a*(u*b) = 0 exactly when a*b = 0, and expanded to whole classes.
+    """
     zero = model.zero
-    elements = model._elements
-    nonzero = [x for x in elements if x != zero]
-    return frozenset(a for a in elements if zero in map(model.mul, repeat(a), nonzero))
+    classes = model._classes
+    nonzero = [b for b in classes if b != zero]
+    return frozenset().union(
+        *(cls for a, cls in classes.items() if zero in map(model.mul, repeat(a), nonzero))
+    )
 
 
 def ring_nilpotents(model) -> frozenset:
-    zero = model.zero
-    out = set()
-    for a in model._elements:
-        seen = set()
-        cur = a
-        while cur not in seen:
-            seen.add(cur)
-            cur = model.mul(cur, a)
-        if zero in seen:
-            out.add(a)
-    return frozenset(out)
+    """The a with a^k = 0 for some k."""
+    return model._units_nil[1]
 
 
 def ring_jacobson(model) -> frozenset:
@@ -266,16 +328,18 @@ def ring_jacobson(model) -> frozenset:
 def _bad_inside(model, index: int, xset: frozenset) -> bool:
     """Whether every bad multiplier of ideal I = ``index`` lies in ``xset``.
 
-    a is bad when a*b is in I for some b outside I. Only the a outside
-    ``xset`` are tested, in element order up to the first bad one, and each
-    verdict is kept on the model, so the three classes share one scan of
-    each a against R minus I.
+    a is bad when a*b is in I for some b outside I. Both a and b range over
+    the class representatives only, which is exact because I and ``xset``
+    are unions of classes. Only the a outside ``xset`` are tested, in
+    element order up to the first bad one, and each verdict is kept on the
+    model, so the three classes share one scan per ideal.
     """
     ideal = model.ideal_subset(index)
-    outside = [b for b in model._elements if b not in ideal]
+    reps = model._classes
+    outside = [b for b in reps if b not in ideal]
     bad = model._bad.setdefault(index, {})
     mul = model.mul
-    for a in model._elements:
+    for a in reps:
         if a in xset:
             continue
         if a not in bad:
@@ -292,7 +356,7 @@ def ring_is_r_ideal(model, index: int) -> bool:
 
 def ring_is_n_ideal(model, index: int) -> bool:
     """ab in I with a not nilpotent forces b in I."""
-    return _bad_inside(model, index, model._nil)
+    return _bad_inside(model, index, ring_nilpotents(model))
 
 
 def ring_is_j_ideal(model, index: int) -> bool:

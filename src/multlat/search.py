@@ -14,7 +14,6 @@ from .classify import (
     canonical_sets,
     distinct_sets,
     join_escape,
-    prime_meet_downset,
     prime_meet_facts,
     x_elements,
 )
@@ -43,7 +42,9 @@ def _find_join_escape(M: MultiplicativeLattice) -> SearchHit | None:
 
 
 def _find_existence_equivalence(M: MultiplicativeLattice) -> SearchHit | None:
-    j, exists, j_prime, unique_min = prime_meet_facts(M, x_elements(M, prime_meet_downset(M)))
+    # The nil down-set is the prime-meet down-set: radical(bottom) is the meet
+    # of the primes, which ``_radicals`` cross-asserts.
+    j, exists, j_prime, unique_min = prime_meet_facts(M, x_elements(M, CANONICAL_SETS["n"](M)))
     if not exists == j_prime == unique_min:
         raise RuntimeError(
             f"{M.name}: existence/primeness/unique-minimal-prime equivalence broken "

@@ -6,6 +6,8 @@ the gcd/lcm shortcuts being tested appear on the oracle side.
 """
 
 import dataclasses
+from array import array
+from itertools import compress
 from math import gcd
 
 import pytest
@@ -27,6 +29,7 @@ from multlat.corpus import PRODUCT_MODULI
 from multlat.ringbridge import (
     ProductRingModel,
     ZnIdealModel,
+    cross_validate,
     divisors,
     ring_jacobson,
     ring_nilpotents,
@@ -301,3 +304,100 @@ def test_oracle_matches_reference_on_stock_products(m, n):
 @settings(max_examples=6, deadline=None)
 def test_oracle_matches_reference_on_products_property(m, n):
     assert_oracle_matches_reference(ideal_lattice_product(m, n)[1])
+
+
+# -- associate classes against literal scans ----------------------------------------
+#
+# The oracle scans one representative per class {u*a : u a unit}. Each fact
+# that makes this exact is checked here by a literal scan of the ring, through
+# its multiplication table as rows of element positions.
+
+
+CLASS_RINGS = (
+    [(n,) for n in range(2, 61)]
+    + [(m, n) for m in PRODUCT_MODULI for n in PRODUCT_MODULI]
+    + [(28, 30)]
+)
+
+
+def fresh_model(moduli):
+    build = ideal_lattice_zn if len(moduli) == 1 else ideal_lattice_product
+    M, model = build(*moduli)
+    return M, dataclasses.replace(model)  # same ring, nothing cached yet
+
+
+def product_rows(model, elements):
+    """Row a holds the position of a*b for each b, in element order."""
+    pos = {x: k for k, x in enumerate(elements)}
+    return pos, [array("I", [pos[model.mul(a, b)] for b in elements]) for a in elements]
+
+
+def ring_id(moduli):
+    return ("zn:" if len(moduli) == 1 else "prod:") + ",".join(map(str, moduli))
+
+
+@pytest.mark.parametrize("moduli", CLASS_RINGS, ids=ring_id)
+def test_associate_classes_partition_the_ring(moduli):
+    _, model = fresh_model(moduli)
+    elements = list(model.ring_elements())
+    pos, rows = product_rows(model, elements)
+    one, zero = pos[model.one], pos[model.zero]
+    nonzero = [x != model.zero for x in elements]
+    units = frozenset(a for a, row in zip(elements, rows) if one in row)
+    zdiv = frozenset(
+        a for a, row in zip(elements, rows) if zero in compress(row, nonzero)
+    )
+    nil = reference_nilpotents(model, elements)
+    assert model._units_nil[0] == units
+    assert ring_zero_divisors(model) == zdiv
+    assert ring_nilpotents(model) == nil
+    assert not units & zdiv
+
+    classes = model._classes
+    members = [x for cls in classes.values() for x in cls]
+    assert len(members) == len(set(members)) == len(elements)
+    assert list(classes) == sorted(classes, key=pos.__getitem__)
+    for rep, cls in classes.items():
+        assert cls == {model.mul(u, rep) for u in units}
+        assert min(cls, key=pos.__getitem__) == rep
+
+    ideals = [model.ideal_subset(i) for i in range(len(model.labels()))]
+    for s in [zdiv, nil, reference_jacobson(model), *ideals]:
+        for cls in classes.values():
+            assert cls <= s or cls.isdisjoint(s), (s, cls)
+
+
+@pytest.mark.parametrize("moduli", CLASS_RINGS, ids=ring_id)
+def test_class_members_share_the_bad_multiplier_verdict(moduli):
+    _, model = fresh_model(moduli)
+    elements = list(model.ring_elements())
+    pos, rows = product_rows(model, elements)
+    for index in model.proper_indices():
+        ideal = model.ideal_subset(index)
+        inside = {pos[x] for x in ideal}
+        outside = [k not in inside for k in range(len(elements))]
+        # a is bad when a*b lies in I for some b outside I
+        bad = {
+            a: not inside.isdisjoint(compress(row, outside))
+            for a, row in zip(elements, rows)
+        }
+        for rep, cls in model._classes.items():
+            assert {bad[a] for a in cls} == {bad[rep]}, (model, index, rep)
+
+
+@pytest.mark.parametrize("moduli", [(2310,), (16, 81), (28, 30)], ids=ring_id)
+def test_cross_validate_mul_calls_stay_within_the_class_bound(moduli):
+    """A full cross-validation makes at most |R| + c*|U| + c^3 products.
+
+    The power pass makes |R|, the classes c*|U|, the zero divisors at most
+    c^2, and each proper ideal at most c^2, with fewer proper ideals than
+    classes.
+    """
+    M, model = fresh_model(moduli)
+    calls = []
+    real = model.mul
+    object.__setattr__(model, "mul", lambda x, y: calls.append(1) or real(x, y))
+    cross_validate(M, model)
+    size, units, c = len(model._elements), len(model._units_nil[0]), len(model._classes)
+    assert len(model.proper_indices()) < c
+    assert len(calls) <= size + c * units + c ** 3, (len(calls), size, units, c)
