@@ -120,12 +120,13 @@ def cmd_cross_validate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    parsed = [parse_corpus_spec(spec) for spec in args.corpus]  # every spec, before any build
+    corpus = args.corpus or ["zn:2..200"]
+    parsed = [parse_corpus_spec(spec) for spec in corpus]  # every spec, before any build
     hits = search_corpus((M for spec in parsed for M, _ in spec), args.find)
     for hit in hits:
         print(hit.render())
     if not hits:
-        print(f"no instance with {args.find} in {' '.join(args.corpus)}")
+        print(f"no instance with {args.find} in {' '.join(corpus)}")
         return 1
     print(f"{len(hits)} instance(s) found")
     return 0
@@ -138,7 +139,7 @@ def cmd_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multlat",
         description="finite multiplicative lattices: validation, element "
@@ -148,44 +149,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the lattice and multiplication axioms")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="per-element classification report")
     p.add_argument("target", help="spec file, zn:<n>, prod:<m>,<n> or chain:<n>")
     p.add_argument("--x", action="append", default=[], metavar="SET",
                    help="extra M-closed set: declared name, zdiv, nil, jrad or downset:<label>")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run the full property suite L1..L16")
     p.add_argument("target")
     p.add_argument("--x", action="append", default=[], metavar="SET")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cross-validate", help="ring-side vs lattice-side r/n/J classification")
     p.add_argument("target", help="zn:<n> or prod:<m>,<n>")
-    p.set_defaults(func=cmd_cross_validate)
 
     p = sub.add_parser("search", help="scan a corpus for instances exhibiting a property")
     p.add_argument("--corpus", action="append", default=None, metavar="SPEC",
                    help="zn:A..B, zn:N, prod:M,N or chain:A..B (repeatable; default zn:2..200)")
     p.add_argument("--find", required=True, choices=PROPERTIES)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("dot", help="Hasse diagram in DOT format")
     p.add_argument("target")
     p.add_argument("--x", action="append", default=[], metavar="SET",
                    help="mark the X-elements of this set")
-    p.set_defaults(func=cmd_dot)
     return parser
 
 
+_PARSER = _build_parser()  # built once, at import; it holds no handlers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _PARSER
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "search" and args.corpus is None:
-        args.corpus = ["zn:2..200"]
-    try:
-        return args.func(args)
+    args = _PARSER.parse_args(argv)
+    try:  # the handler by name at call time, so a rebound ``cmd_*`` is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError) as exc:  # ParseError and _STRUCTURE_ERRORS subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

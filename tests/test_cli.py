@@ -1,12 +1,19 @@
 """Command surface and exit codes (0 pass, 1 property failure, 2 bad input)."""
 
+import argparse
 import json
 import re
 
+import pytest
+
+from multlat import cli
 from multlat.cli import main
 from multlat import report_from_json
 from multlat.corpus import chain_lattice
 from multlat.ringbridge import _LATTICE_CACHE_SIZE, ideal_lattice_product, ideal_lattice_zn
+
+
+COMMANDS = ("validate", "classify", "verify", "cross-validate", "search", "dot")
 
 
 def run_cli(capsys, *argv):
@@ -289,3 +296,74 @@ def test_dot_two_marked_sets(capsys, lattice_dir):
     # bottom is both an n- and a J-element: its label lists both set names
     both = [ln for ln in out.splitlines() if "nilrad,jacrad" in ln]
     assert len(both) == 1 and "c0" in both[0]
+
+
+# -- many calls in one process ------------------------------------------------------
+
+
+def test_main_calls_the_handler_bound_at_call_time(capsys, monkeypatch):
+    assert run_cli(capsys, "cross-validate", "zn:12")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cross_validate", lambda args: seen.append(args.target) or 7)
+    assert run_cli(capsys, "cross-validate", "zn:12") == (7, "", "")
+    assert seen == ["zn:12"]
+
+
+def test_repeated_calls_share_no_state(capsys):
+    plain = run_cli(capsys, "classify", "zn:12")
+    with_x = run_cli(capsys, "classify", "zn:12", "--x", "nil", "--x", "zdiv")
+    assert "x:nil" in with_x[1] and "x:nil" not in plain[1]
+    assert run_cli(capsys, "classify", "zn:12") == plain  # no --x value carried over
+
+    default = ("search", "--find", "n-strictly-inside-j")
+    expected = (1, "no instance with n-strictly-inside-j in zn:2..200\n", "")
+    assert run_cli(capsys, *default) == expected
+    assert run_cli(capsys, *default) == expected
+
+    for argv in (["no-such-command"], ["search"], ["classify"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+        assert run_cli(capsys, "classify", "zn:12") == plain, argv
+
+
+HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_matches_a_freshly_built_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    shared = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == shared
+    assert shared.out.startswith("usage: multlat")
+
+
+def test_main_builds_no_parser(capsys, monkeypatch, lattice_dir):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [
+        ["validate", str(lattice_dir / "k.lat")],
+        ["classify", "zn:12", "--x", "nil"],
+        ["verify", "zn:12"],
+        ["cross-validate", "zn:12"],
+        ["search", "--corpus", "zn:2..12", "--find", "join-of-x-not-x"],
+        ["dot", "zn:12"],
+    ]
+    for i in range(20):
+        assert main(calls[i % len(calls)]) in (0, 1)
+    capsys.readouterr()
+    assert built == []
+    cli._build_parser()
+    assert len(built) == 1 + len(COMMANDS)  # the counter sees every construction
