@@ -1,11 +1,13 @@
 """Finite bounded-lattice kernel.
 
 Elements are dense integer indices 0..size-1. The order relation is stored
-as bitmask rows: bit j of ``up[i]`` is set iff i <= j. Meets and joins are
-found by intersecting down-/up-masks and looking up the principal
-down-/up-set equal to the result; the full meet/join tables are precomputed
-at validation time, so lattice queries are table lookups. All values are
-immutable after construction.
+as bitmask rows: bit j of ``up[i]`` is set iff i <= j, closed in one pass in
+topological order (only cyclic input goes through Warshall's scan, which
+names the cycle). Meets and joins are found by intersecting down-/up-masks
+and looking up the principal down-/up-set equal to the result; the full
+meet/join tables are precomputed at validation time, one scan per unordered
+pair, so lattice queries are table lookups. All values are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -61,17 +63,45 @@ class PartialOrder:
 def build_order(size: int, pairs: Iterable[tuple[int, int]]) -> PartialOrder:
     """Reflexive-transitive closure of ``pairs`` on 0..size-1.
 
-    Accepts cover relations or arbitrary <=-pairs; raises CycleError when the
-    closure identifies two distinct elements.
+    Accepts cover relations or arbitrary <=-pairs, repeats and self-pairs
+    included. Kahn's algorithm orders the elements; up-sets are ORed in
+    reverse order and down-sets pushed forward, O(size + |pairs|) mask ORs.
+    Input with a cycle has no such order; ``_warshall`` names the cycle.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    up = [1 << i for i in range(size)]
+    succ: list[list[int]] = [[] for _ in range(size)]
+    indegree = [0] * size
     for x, y in pairs:
         if not (0 <= x < size and 0 <= y < size):
             raise IndexError(f"pair ({x}, {y}) out of range for size {size}")
+        if x != y:
+            succ[x].append(y)
+            indegree[y] += 1
+    topo = [i for i in range(size) if not indegree[i]]
+    for x in topo:  # grows while it is walked
+        for y in succ[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                topo.append(y)
+    if len(topo) < size:
+        return _warshall(size, [(x, y) for x in range(size) for y in succ[x]])
+    up = [1 << i for i in range(size)]
+    for x in reversed(topo):
+        for y in succ[x]:
+            up[x] |= up[y]
+    down = [1 << i for i in range(size)]
+    for x in topo:
+        for y in succ[x]:
+            down[y] |= down[x]
+    return PartialOrder(size, tuple(up), tuple(down))
+
+
+def _warshall(size: int, pairs: list[tuple[int, int]]) -> PartialOrder:
+    """Warshall's closure on bitmask rows; CycleError names the first cycle in index order."""
+    up = [1 << i for i in range(size)]
+    for x, y in pairs:
         up[x] |= 1 << y
-    # Warshall on bitmask rows.
     for k in range(size):
         row_k = up[k]
         bit_k = 1 << k
@@ -180,7 +210,10 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     The common lower bounds of x and y form a down-set, which has a greatest
     element m exactly when it equals down[m]; so the meet is one lookup in
     the principal down-sets, and dually the join in the principal up-sets.
-    Raises NotALattice with the first offending pair (index-order scan).
+    Raises NotALattice with the first offending pair in index order. By
+    symmetry only the pairs x <= y (as indices) are scanned, each filling
+    [x][y] and [y][x]: if (x, y) with x > y failed, (y, x) failed earlier,
+    so the first failing pair has x <= y, and its meet is still tested first.
     """
     n = order.size
     if labels is None:
@@ -194,25 +227,23 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     up, down = order.up, order.down
     by_down = {d: c for c, d in enumerate(down)}
     by_up = {u: c for c, u in enumerate(up)}
-    meet_rows = []
-    join_rows = []
+    meet_rows = [[0] * n for _ in range(n)]
+    join_rows = [[0] * n for _ in range(n)]
     for x in range(n):
-        mrow = []
-        jrow = []
-        for y in range(n):
-            glb = by_down.get(down[x] & down[y])
+        down_x, up_x, meet_x, join_x = down[x], up[x], meet_rows[x], join_rows[x]
+        for y in range(x, n):
+            glb = by_down.get(down_x & down[y])
             if glb is None:
                 raise NotALattice(x, y, "meet")
-            lub = by_up.get(up[x] & up[y])
+            lub = by_up.get(up_x & up[y])
             if lub is None:
                 raise NotALattice(x, y, "join")
-            mrow.append(glb)
-            jrow.append(lub)
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
+            meet_x[y] = meet_rows[y][x] = glb
+            join_x[y] = join_rows[y][x] = lub
     full = (1 << n) - 1
     bottom, top = by_up[full], by_down[full]
-    return FiniteLattice(order, bottom, top, tuple(meet_rows), tuple(join_rows), label_tuple)
+    tables = tuple(map(tuple, meet_rows)), tuple(map(tuple, join_rows))
+    return FiniteLattice(order, bottom, top, *tables, label_tuple)
 
 
 def lattice_from_pairs(

@@ -2,7 +2,8 @@
 
 The lattice side encodes ideals of Z_n by the divisors of n: containment is
 reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
-is gcd(d1*d2, n). The ring side never touches that encoding: it works on
+is gcd(d1*d2, n). Each lattice is built from its covers, (d) above (d*p) for
+each prime p, and a product's covers and table come from its factors'. The ring side never touches that encoding: it works on
 actual ring elements through ``ring_elements``, ``mul``, ``one``, ``zero``,
 ``ideal_subset`` and ``proper_indices``, so agreement between the two
 classifications is a genuine two-route check rather than one algorithm
@@ -203,6 +204,21 @@ class ProductRingModel(_RingSets):
 _LATTICE_CACHE_SIZE = 256
 
 
+def _divisor_lattice(n: int, divs: tuple[int, ...]) -> tuple[list, list]:
+    """Cover pairs and product table of the ideals of Z_n, by divisor index.
+
+    The primes are the divisors above 1 with no smaller prime divisor.
+    """
+    index = {d: i for i, d in enumerate(divs)}
+    primes: list[int] = []
+    for d in divs[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    covers = [(index[d * p], i) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
+    table = [[index[gcd(d * e, n)] for e in divs] for d in divs]
+    return covers, table
+
+
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     """The ideal lattice of Z_n as a validated multiplicative lattice."""
@@ -210,41 +226,29 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
         raise ValueError(f"modulus must be >= 2, got {n}")
     divs = divisors(n)
     model = ZnIdealModel(n, divs)
-    k = len(divs)
-    pairs = [
-        (i, j) for i in range(k) for j in range(k) if divs[i] % divs[j] == 0
-    ]
-    lattice = validate_lattice(build_order(k, pairs), model.labels())
-    index = {d: i for i, d in enumerate(divs)}
-    table = [[index[gcd(d * e, n)] for e in divs] for d in divs]
+    covers, table = _divisor_lattice(n, divs)
+    lattice = validate_lattice(build_order(len(divs), covers), model.labels())
     M = attach_multiplication(lattice, table, name=f"zn:{n}")
     return M, model
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def ideal_lattice_product(m: int, n: int) -> tuple[MultiplicativeLattice, ProductRingModel]:
-    """The ideal lattice of Z_m x Z_n (componentwise divisor pairs)."""
+    """The ideal lattice of Z_m x Z_n (componentwise divisor pairs).
+
+    (d1, d2) has index i1*k2 + i2, from d1's and d2's indices in the factors.
+    """
     if m < 2 or n < 2:
         raise ValueError(f"moduli must be >= 2, got ({m}, {n})")
     left, right = divisors(m), divisors(n)
-    pairs = tuple((d1, d2) for d1 in left for d2 in right)
-    model = ProductRingModel(m, n, pairs)
-    k = len(pairs)
-    leq_pairs = [
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if pairs[i][0] % pairs[j][0] == 0 and pairs[i][1] % pairs[j][1] == 0
-    ]
-    lattice = validate_lattice(build_order(k, leq_pairs), model.labels())
-    index = {p: i for i, p in enumerate(pairs)}
-    table = [
-        [
-            index[(gcd(a1 * b1, m), gcd(a2 * b2, n))]
-            for (b1, b2) in pairs
-        ]
-        for (a1, a2) in pairs
-    ]
+    model = ProductRingModel(m, n, tuple((d1, d2) for d1 in left for d2 in right))
+    covers_m, table_m = _divisor_lattice(m, left)
+    covers_n, table_n = _divisor_lattice(n, right)
+    k1, k2 = len(left), len(right)
+    covers = [(a * k2 + i2, b * k2 + i2) for a, b in covers_m for i2 in range(k2)]
+    covers += [(i1 * k2 + a, i1 * k2 + b) for i1 in range(k1) for a, b in covers_n]
+    lattice = validate_lattice(build_order(k1 * k2, covers), model.labels())
+    table = [[a * k2 + b for a in row_m for b in row_n] for row_m in table_m for row_n in table_n]
     M = attach_multiplication(lattice, table, name=f"prod:{m},{n}")
     return M, model
 

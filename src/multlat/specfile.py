@@ -16,7 +16,8 @@
 
 Order lines accept any <=-pairs; the loader takes the reflexive-transitive
 closure, validates the lattice and the multiplication axioms, and validates
-every named set as M-closed. Parse errors carry 1-based line and column.
+every named set as M-closed. ``elements:`` and ``multiplication:`` appear
+once each. Parse errors carry 1-based line and column.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def _tokens(line: str, start: int, stop: int) -> list[tuple[str, int]]:
 def parse_spec(text: str) -> LatticeSpecFile:
     name = "L"
     labels: tuple[str, ...] | None = None
+    label_set: frozenset[str] = frozenset()
     order_pairs: list[tuple[str, str]] = []
     mult_kind: str | None = None
     row_map: dict[str, tuple[str, ...]] = {}
@@ -72,10 +74,13 @@ def parse_spec(text: str) -> LatticeSpecFile:
             raise ParseError(lineno, 1, "elements must be declared before this line")
         return labels
 
-    def check_label(tok: str, lineno: int, col: int) -> str:
-        if tok not in need_labels(lineno):
+    def check_labels(tokens: list[tuple[str, int]], lineno: int) -> tuple[str, ...]:
+        need_labels(lineno)
+        toks = tuple(tok for tok, _ in tokens)
+        if not label_set.issuperset(toks):
+            tok, col = next(t for t in tokens if t[0] not in label_set)
             raise ParseError(lineno, col, f"unknown element label {tok!r}")
-        return tok
+        return toks
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -93,26 +98,30 @@ def parse_spec(text: str) -> LatticeSpecFile:
         if head == "name" and len(key) == 1:
             name = " ".join(tok for tok, _ in values) or "L"
         elif head == "elements" and len(key) == 1:
+            if labels is not None:
+                raise ParseError(lineno, 1, "repeated 'elements:' declaration")
             toks = [tok for tok, _ in values]
             if not toks:
                 raise ParseError(lineno, colon + 2, "no elements given")
-            for tok, col in values:
-                if toks.count(tok) > 1:
-                    raise ParseError(lineno, col, f"duplicate label {tok!r}")
+            label_set = frozenset(toks)
+            if len(label_set) < len(toks):
+                for tok, col in values:
+                    if toks.count(tok) > 1:
+                        raise ParseError(lineno, col, f"duplicate label {tok!r}")
             labels = tuple(toks)
         elif head == "order" and len(key) == 1:
             if len(values) != 3 or values[1][0] != "<":
                 raise ParseError(lineno, colon + 2, "expected 'order: A < B'")
-            a = check_label(values[0][0], lineno, values[0][1])
-            b = check_label(values[2][0], lineno, values[2][1])
-            order_pairs.append((a, b))
+            order_pairs.append(check_labels([values[0], values[2]], lineno))
         elif head == "multiplication" and len(key) == 1:
+            if mult_kind is not None:
+                raise ParseError(lineno, 1, "repeated 'multiplication:' declaration")
             if len(values) != 1 or values[0][0] not in ("trivial", "meet", "table"):
                 col = values[0][1] if values else colon + 2
                 raise ParseError(lineno, col, "expected trivial, meet or table")
             mult_kind = values[0][0]
         elif head == "row" and len(key) == 2:
-            row_label = check_label(key[1], lineno, key_tokens[1][1])
+            (row_label,) = check_labels(key_tokens[1:], lineno)
             if row_label in row_map:
                 raise ParseError(lineno, 1, f"duplicate row for {row_label!r}")
             n = len(need_labels(lineno))
@@ -120,9 +129,7 @@ def parse_spec(text: str) -> LatticeSpecFile:
                 raise ParseError(
                     lineno, colon + 2, f"row needs {n} entries, got {len(values)}"
                 )
-            row_map[row_label] = tuple(
-                check_label(tok, lineno, col) for tok, col in values
-            )
+            row_map[row_label] = check_labels(values, lineno)
         elif head == "xset" and len(key) == 2:
             set_name = key[1]
             if any(set_name == existing for existing, _, _ in xsets):
@@ -137,11 +144,9 @@ def parse_spec(text: str) -> LatticeSpecFile:
             elif first == "downset":
                 if len(values) != 2:
                     raise ParseError(lineno, colon + 2, "expected 'downset <label>'")
-                lbl = check_label(values[1][0], lineno, values[1][1])
-                xsets.append((set_name, "downset", (lbl,)))
+                xsets.append((set_name, "downset", check_labels(values[1:], lineno)))
             else:
-                members = tuple(check_label(tok, lineno, col) for tok, col in values)
-                xsets.append((set_name, "members", members))
+                xsets.append((set_name, "members", check_labels(values, lineno)))
         else:
             raise ParseError(lineno, 1, f"unknown directive {' '.join(key)!r}")
 

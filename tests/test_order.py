@@ -1,18 +1,23 @@
 """Order kernel: closure, antisymmetry, meets/joins against brute force."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multlat import (
     CycleError,
+    acceptance_corpus,
+    load_path,
     NotALattice,
     build_order,
     lattice_from_pairs,
     validate_lattice,
 )
+from multlat import corpus, order, ringbridge
 from multlat.corpus import KITE_COVERS
-from multlat.order import iter_bits, mask_of
+from multlat.order import PartialOrder, iter_bits, mask_of
 
 
 def brute_leq(size, pairs):
@@ -257,3 +262,119 @@ def test_build_order_closure_or_cycle(size, pairs):
     # Idempotence: rebuilding from the closure gives the same order.
     again = build_order(size, [(i, j) for (i, j) in rel])
     assert again.up == po.up
+
+
+def warshall_build_order(size, pairs):
+    """Reference: ``build_order`` as an n^2 Warshall closure on bitmask rows."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    up = [1 << i for i in range(size)]
+    for x, y in pairs:
+        if not (0 <= x < size and 0 <= y < size):
+            raise IndexError(f"pair ({x}, {y}) out of range for size {size}")
+        up[x] |= 1 << y
+    for k in range(size):
+        row_k = up[k]
+        bit_k = 1 << k
+        for i in range(size):
+            if up[i] & bit_k:
+                up[i] |= row_k
+    down = [0] * size
+    for i in range(size):
+        row = up[i]
+        bit_i = 1 << i
+        for j in iter_bits(row):
+            down[j] |= bit_i
+    for i in range(size):
+        both = up[i] & down[i]
+        if both != 1 << i:
+            j = next(b for b in iter_bits(both) if b != i)
+            raise CycleError(i, j)
+    return PartialOrder(size, tuple(up), tuple(down))
+
+
+def outcome(build, size, pairs):
+    try:
+        po = build(size, pairs)
+    except (CycleError, IndexError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return po.up, po.down
+
+
+@given(
+    size=st.integers(1, 9),
+    pairs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=24),
+    chain=st.booleans(),
+)
+@example(size=3, pairs=[(0, 1), (1, 2), (2, 1), (0, 0), (0, 1)], chain=False)
+@example(size=4, pairs=[(3, 2), (2, 1), (1, 0), (0, 3)], chain=False)
+@settings(max_examples=400)
+def test_build_order_matches_warshall(size, pairs, chain):
+    # Random pairs: cycles, self-pairs and repeats; optionally on top of the
+    # chain 0 < 1 < ... so that most inputs are connected.
+    pairs = [(a % size, b % size) for a, b in pairs]
+    if chain:
+        pairs += [(i, i + 1) for i in range(size - 1)]
+    expected = outcome(warshall_build_order, size, pairs)
+    assert outcome(build_order, size, pairs) == expected
+    # The same on a one-shot iterator, as the builders may pass a generator.
+    assert outcome(build_order, size, iter(pairs)) == expected
+    if expected[0] is not CycleError:
+        # Acyclic input, self-pairs and repeats included, is closed without
+        # the Warshall fallback.
+        with mock.patch.object(order, "_warshall", side_effect=AssertionError("fallback")):
+            assert outcome(build_order, size, pairs) == expected
+
+
+@given(
+    size=st.integers(1, 9),
+    pairs=st.lists(st.tuples(st.integers(-2, 11), st.integers(-2, 11)), min_size=1, max_size=12),
+)
+@settings(max_examples=200)
+def test_build_order_names_the_first_out_of_range_pair(size, pairs):
+    bad = [(x, y) for x, y in pairs if not (0 <= x < size and 0 <= y < size)]
+    expected = outcome(warshall_build_order, size, pairs)
+    assert outcome(build_order, size, pairs) == expected
+    if bad:
+        x, y = bad[0]
+        assert expected[:2] == (IndexError, f"pair ({x}, {y}) out of range for size {size}")
+
+
+def test_build_order_cycle_witnesses_are_pinned():
+    # Cycles the Warshall scan names by its first element in index order.
+    with pytest.raises(CycleError) as err:
+        build_order(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert err.value.witness == (0, 1)
+    with pytest.raises(CycleError) as err:
+        build_order(5, [(4, 3), (3, 2), (2, 4), (0, 1)])
+    assert err.value.witness == (2, 3)
+
+
+def test_acyclic_builds_never_fall_back_to_warshall(monkeypatch, lattice_dir):
+    # The corpus, the meet chains and the shipped spec files are all
+    # acyclic, so each is closed in one topological pass. The lru_caches
+    # are bypassed so that every instance is built here.
+    def no_fallback(size, pairs):
+        raise AssertionError(f"Warshall fallback on an acyclic input of size {size}")
+
+    builds = []
+    build_order_impl = order.build_order
+
+    def counting(size, pairs):
+        builds.append(size)
+        return build_order_impl(size, pairs)
+
+    monkeypatch.setattr(order, "_warshall", no_fallback)
+    monkeypatch.setattr(order, "build_order", counting)
+    monkeypatch.setattr(ringbridge, "build_order", counting)
+    monkeypatch.setattr(corpus, "ideal_lattice_zn", ringbridge.ideal_lattice_zn.__wrapped__)
+    monkeypatch.setattr(corpus, "ideal_lattice_product", ringbridge.ideal_lattice_product.__wrapped__)
+    monkeypatch.setattr(corpus, "chain_lattice", corpus.chain_lattice.__wrapped__)
+    monkeypatch.setattr(corpus, "kite_lattice", corpus.kite_lattice.__wrapped__)
+    built = sum(1 for _ in acceptance_corpus(200))
+    built += sum(1 for n in range(1, 9) if corpus.chain_lattice(n, "meet"))
+    paths = sorted(lattice_dir.glob("*.lat"))
+    for path in paths:
+        load_path(path)
+    assert built == 199 + 36 + 7 + 1 + 8 and paths
+    assert len(builds) == built + len(paths)

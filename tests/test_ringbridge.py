@@ -25,7 +25,9 @@ from multlat import (
     ring_is_n_ideal,
     ring_is_r_ideal,
 )
+from multlat import ringbridge
 from multlat.corpus import PRODUCT_MODULI
+from multlat.order import build_order, validate_lattice
 from multlat.ringbridge import (
     ProductRingModel,
     ZnIdealModel,
@@ -401,3 +403,82 @@ def test_cross_validate_mul_calls_stay_within_the_class_bound(moduli):
     size, units, c = len(model._elements), len(model._units_nil[0]), len(model._classes)
     assert len(model.proper_indices()) < c
     assert len(calls) <= size + c * units + c ** 3, (len(calls), size, units, c)
+
+
+# -- the cover-built lattices against the all-pairs construction --------------------
+
+
+def all_pairs_construction(moduli):
+    """Reference: every ideal pair tested for containment, every product a gcd.
+
+    Returns the lattice of the <=-pairs, the product table and the labels.
+    """
+    if len(moduli) == 1:
+        (n,) = moduli
+        divs = divisors(n)
+        elems = [(d,) for d in divs]
+        labels = ZnIdealModel(n, divs).labels()
+    else:
+        m, n = moduli
+        elems = [(d1, d2) for d1 in divisors(m) for d2 in divisors(n)]
+        labels = ProductRingModel(m, n, tuple(elems)).labels()
+    k = len(elems)
+    leq_pairs = [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if all(a % b == 0 for a, b in zip(elems[i], elems[j]))
+    ]
+    lattice = validate_lattice(build_order(k, leq_pairs), labels)
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(
+        tuple(index[tuple(gcd(x * y, q) for x, y, q in zip(a, b, moduli))] for b in elems)
+        for a in elems
+    )
+    return lattice, table, labels
+
+
+def assert_matches_all_pairs_construction(moduli):
+    M = ideal_lattice_zn(*moduli)[0] if len(moduli) == 1 else ideal_lattice_product(*moduli)[0]
+    lattice, table, labels = all_pairs_construction(moduli)
+    assert (M.order.up, M.order.down) == (lattice.order.up, lattice.order.down), moduli
+    assert M.meet_table == lattice.meet_table and M.join_table == lattice.join_table, moduli
+    assert tuple(map(tuple, M.table)) == table, moduli
+    assert M.labels == labels, moduli
+    assert (M.bottom, M.top) == (lattice.bottom, lattice.top), moduli
+
+
+def test_zn_lattices_match_the_all_pairs_construction():
+    for n in range(2, 401):
+        assert_matches_all_pairs_construction((n,))
+
+
+@pytest.mark.parametrize("m", PRODUCT_MODULI)
+@pytest.mark.parametrize("n", PRODUCT_MODULI)
+def test_stock_products_match_the_all_pairs_construction(m, n):
+    assert_matches_all_pairs_construction((m, n))
+
+
+@pytest.mark.parametrize("moduli", [(28, 30), (72, 72)], ids=ring_id)
+def test_large_products_match_the_all_pairs_construction(moduli):
+    assert_matches_all_pairs_construction(moduli)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(n,) for n in (2, 12, 30, 64, 360, 720720)] + [(4, 9), (25, 8), (28, 30), (72, 72)],
+    ids=ring_id,
+)
+def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
+    # k * omega(n) pairs for Z_n: each Hasse edge once, and nothing else.
+    seen = []
+
+    def recording(size, pairs):
+        seen.append(list(pairs))
+        return build_order(size, seen[-1])
+
+    monkeypatch.setattr(ringbridge, "build_order", recording)
+    build = ideal_lattice_zn if len(moduli) == 1 else ideal_lattice_product
+    M = build.__wrapped__(*moduli)[0]
+    (pairs,) = seen
+    assert sorted(pairs) == sorted(M.covers()), moduli

@@ -1,5 +1,7 @@
 """Text format: parsing diagnostics, loading, render round-trips."""
 
+import random
+
 import pytest
 
 from multlat import (
@@ -16,6 +18,7 @@ from multlat import (
     x_elements,
     zero_divisor_set,
 )
+from multlat.cli import main
 from conftest import first_axiom_violation
 
 KITE_TEXT = """\
@@ -163,3 +166,100 @@ def test_comments_and_blank_lines():
     text = "# header\n\nname: tiny\nelements: x y  # trailing\norder: x < y\nmultiplication: meet\n"
     M, _ = loads(text)
     assert M.name == "tiny" and M.size == 2
+
+
+# -- error positions and messages, pinned ------------------------------------------
+
+SMALL_HEAD = "elements: a b c\norder: a < b\norder: b < c\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, col, msg",
+    [
+        # A label three times: the column of its first occurrence.
+        ("elements: x a b a c a\n", 1, 13, "duplicate label 'a'"),
+        # A duplicate late in the list.
+        ("elements: a b c d e f g h e\n", 1, 19, "duplicate label 'e'"),
+        ("elements:  p q\telements q\n", 1, 14, "duplicate label 'q'"),
+        # Unknown labels in order:, row and xset lines.
+        (SMALL_HEAD + "order: c < zz\n", 4, 12, "unknown element label 'zz'"),
+        (SMALL_HEAD + "order: zz < c\n", 4, 8, "unknown element label 'zz'"),
+        (SMALL_HEAD + "multiplication: table\nrow a: a a q\n", 5, 12, "unknown element label 'q'"),
+        (SMALL_HEAD + "multiplication: table\nrow  q: a a a\n", 5, 6, "unknown element label 'q'"),
+        (SMALL_HEAD + "multiplication: meet\nxset s: a  q b\n", 5, 12, "unknown element label 'q'"),
+        (SMALL_HEAD + "multiplication: meet\nxset s: downset q\n", 5, 17, "unknown element label 'q'"),
+        ("order: a < b\nelements: a b\n", 1, 1, "elements must be declared before this line"),
+    ],
+)
+def test_parse_error_positions_and_messages(text, line, col, msg):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"line {line}, col {col}: {msg}"
+
+
+@pytest.mark.parametrize(
+    "text, line, msg",
+    [
+        (
+            "elements: a b\norder: a < b\nelements: c d\nmultiplication: meet\n",
+            3,
+            "repeated 'elements:' declaration",
+        ),
+        (
+            "elements: a b\norder: a < b\nmultiplication: meet\n  multiplication: trivial\n",
+            4,
+            "repeated 'multiplication:' declaration",
+        ),
+    ],
+)
+def test_repeated_directive_is_a_parse_error(text, line, msg):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.col) == (line, 1)
+    assert str(err.value) == f"line {line}, col 1: {msg}"
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "classify"])
+@pytest.mark.parametrize("directive", ["elements: c d", "multiplication: trivial"])
+def test_repeated_directive_exits_2(tmp_path, capsys, command, directive):
+    f = tmp_path / "repeated.lat"
+    f.write_text(f"elements: a b\norder: a < b\nmultiplication: meet\n{directive}\n")
+    code = main([command, str(f)])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: line 4, col 1: repeated ")
+
+
+def generated_grid_spec(rows, cols, seed):
+    """A rows x cols grid of labels xIyJ, ordered componentwise, with the meet
+    as multiplication, declared in a shuffled element order."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    random.Random(seed).shuffle(cells)
+    label = {c: f"x{c[0]}y{c[1]}" for c in cells}
+    lines = ["name: grid", "elements: " + " ".join(label[c] for c in cells)]
+    for i, j in cells:
+        if i + 1 < rows:
+            lines.append(f"order: {label[i, j]} < {label[i + 1, j]}")
+        if j + 1 < cols:
+            lines.append(f"order: {label[i, j]} < {label[i, j + 1]}")
+    lines.append("multiplication: table")
+    for a in cells:
+        entries = (label[min(a[0], b[0]), min(a[1], b[1])] for b in cells)
+        lines.append(f"row {label[a]}: " + " ".join(entries))
+    return "\n".join(lines) + "\n", cells
+
+
+def test_generated_150_element_table_spec_round_trips():
+    text, cells = generated_grid_spec(10, 15, seed=14)
+    M, _ = loads(text)
+    assert M.size == 150
+    for a, (i, j) in enumerate(cells):
+        for b, (k, l) in enumerate(cells):
+            assert M.leq(a, b) == (i <= k and j <= l)
+            assert M.label(M.table[a][b]) == f"x{min(i, k)}y{min(j, l)}"
+    rendered = render_spec(M)
+    M2, _ = loads(rendered)
+    assert M2.labels == M.labels and M2.table == M.table
+    assert M2.lattice.order.up == M.lattice.order.up
+    assert render_spec(M2) == rendered
