@@ -49,7 +49,6 @@ class PreconditionViolated(ValueError):
 class MClosedSet:
     """A nonempty subset closed under the lattice multiplication."""
 
-    lattice: MultiplicativeLattice = field(compare=False)
     members: frozenset[int]
     name: str = "X"
     _mask: int = field(init=False, repr=False, compare=False)
@@ -88,21 +87,21 @@ def make_m_closed(M: MultiplicativeLattice, members: Iterable[int], name: str = 
     w = m_closed_witness(M, ms)
     if w is not None:
         raise NotMClosed(*w)
-    return MClosedSet(M, ms, name)
+    return MClosedSet(ms, name)
 
 
 def downset_m_closed(M: MultiplicativeLattice, j: int, name: str | None = None) -> MClosedSet:
     """The down-set of j; M-closed without a scan, since a, b <= j gives a*b <= a <= j."""
     if name is None:
         name = f"downset:{M.label(j)}"
-    return MClosedSet(M, M.down_set(j), name)
+    return MClosedSet(M.down_set(j), name)
 
 
 def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet:
     """Z(L); M-closed without a scan: a*x = bottom, x != bottom give (a*b)*x = b*(a*x) = bottom."""
     if M.size == 1:
         raise DegenerateLattice("zero-divisor set needs a proper element")
-    return MClosedSet(M, M.zero_divisors(), name)
+    return MClosedSet(M.zero_divisors(), name)
 
 
 def nil_downset(M: MultiplicativeLattice, name: str = "nil") -> MClosedSet:
@@ -177,12 +176,10 @@ def is_j_element(M: MultiplicativeLattice, i: int) -> bool:
     return is_x_element(M, jacobson_downset(M), i)
 
 
-def join_escape(
-    M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]
-) -> tuple[int, int] | None:
-    """First pair of X-elements, in index order, whose join is not an X-element."""
+def join_escape(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[int, int] | None:
+    """First pair of X-elements ``xels``, in index order, whose join is not one (top never is)."""
     for i1, i2 in combinations(sorted(xels), 2):
-        if not is_x_element(M, X, M.join(i1, i2)):
+        if M.join(i1, i2) not in xels:
             return i1, i2
     return None
 
@@ -244,7 +241,6 @@ def is_x_mult_closed(M: MultiplicativeLattice, X: MClosedSet, members: Iterable[
 class XMultClosedSet:
     """A validated X-multiplicatively closed subset."""
 
-    lattice: MultiplicativeLattice = field(compare=False)
     xset: MClosedSet
     members: frozenset[int]
     _mask: int = field(init=False, repr=False, compare=False)
@@ -266,7 +262,7 @@ def make_x_mult_closed(
     w = x_mult_closed_witness(M, X, ms)
     if w is not None:
         raise NotXMultClosed(w)
-    return XMultClosedSet(M, X, ms)
+    return XMultClosedSet(X, ms)
 
 
 def complement_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:

@@ -55,24 +55,16 @@ def chain_lattice(n: int, mult: str = "trivial") -> MultiplicativeLattice:
     raise ValueError(f"unknown chain multiplication {mult!r}")
 
 
-def zn_instances(lo: int, hi: int) -> Iterator[MultiplicativeLattice]:
-    for n in range(lo, hi + 1):
-        yield ideal_lattice_zn(n)[0]
-
-
-def product_instances(moduli: tuple[int, ...]) -> Iterator[MultiplicativeLattice]:
-    for m in moduli:
-        for n in moduli:
-            yield ideal_lattice_product(m, n)[0]
-
-
 PRODUCT_MODULI = (2, 3, 4, 8, 9, 25)
 
 
 def acceptance_corpus(zn_hi: int = 200) -> Iterator[MultiplicativeLattice]:
     """zn:2..zn_hi, the stock product pairs, trivial chains to 8, and K."""
-    yield from zn_instances(2, zn_hi)
-    yield from product_instances(PRODUCT_MODULI)
+    for n in range(2, zn_hi + 1):
+        yield ideal_lattice_zn(n)[0]
+    for m in PRODUCT_MODULI:
+        for n in PRODUCT_MODULI:
+            yield ideal_lattice_product(m, n)[0]
     for n in range(2, 9):
         yield chain_lattice(n, "trivial")
     yield kite_lattice()

@@ -12,7 +12,8 @@ The per-set checks run for each given set and for the canonical sets (zero
 divisors, nil down-set, Jacobson down-set); the prime-meet down-set of L10
 and L11 is the nil down-set, since radical(bottom) is the meet of all
 primes. The suite decides the X-elements of each distinct set once and
-hands them to every check that reads them, the global ones included.
+hands them to every check that reads them, the global ones included; L16
+leaves the n-elements' inclusions to L2, which compares every nested pair.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from .classify import (
     canonical_sets,
     complement_characterization,
     distinct_sets,
-    downset_m_closed,
     is_x_element,
     join_escape,
     prime_meet_facts,
     principal_generator,
-    residual_characterization,
     x_witness,
 )
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
@@ -108,14 +107,14 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
         if j is not None and j != M.top:
             results.append(_check_l9(M, X, j, xels))
     results.append(_check_l2(M, sets, xels_of))
-    results.append(_check_l3(M))
+    results.append(_check_l3(M, canon["j"], xels_of[canon["j"].members]))
     results.append(_check_l4(M))
     # The prime-meet down-set is the nil down-set: _radicals cross-asserts
     # radical(bottom) = the meet of all primes.
     results.append(_check_l10(M, xels_of[canon["n"].members]))
     results.append(_check_l11(M, xels_of[canon["n"].members]))
     results.append(_check_l12(M, xels_of[canon["j"].members]))
-    results.append(_check_l16(M, canon, xels_of))
+    results.append(_check_l16(M, canon))
     return SuiteReport(M.name, tuple(results))
 
 
@@ -157,18 +156,19 @@ def _check_l2(
     return CheckResult("L2", "global", True)
 
 
-def _check_l3(M: MultiplicativeLattice) -> CheckResult:
+def _check_l3(M: MultiplicativeLattice, jset: MClosedSet, xels: frozenset[int]) -> CheckResult:
     """In a local lattice every proper element is an X-element for the maximal down-set."""
+    # The Jacobson radical of a local lattice is its maximal element m, so
+    # ``jset`` is the down-set of m and ``xels`` its X-elements.
     if not M.is_local():
         return CheckResult("L3", "global", True, info="vacuous: lattice not local")
     (m,) = M.max_elements()
-    X = downset_m_closed(M, m)
     for i in M.proper_elements():
-        if not is_x_element(M, X, i):
+        if i not in xels:
             return CheckResult(
                 "L3", "global", False,
                 f"local with maximal {M.label(m)} but {M.label(i)} is not an X-element "
-                f"for its down-set; pair {_lbl(M, *x_witness(M, X, i))}",
+                f"for its down-set; pair {_lbl(M, *x_witness(M, jset, i))}",
             )
     return CheckResult("L3", "global", True)
 
@@ -205,7 +205,7 @@ def _check_l5(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
 
 def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
     """Search for X-element pairs whose join is not an X-element (informational)."""
-    pair = join_escape(M, X, xels)
+    pair = join_escape(M, xels)
     if pair is None:
         return CheckResult("L6", X.name, True, info="no join witness in this instance")
     return CheckResult(
@@ -216,21 +216,22 @@ def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
 
 
 def _check_l7(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
-    """Four equivalent characterizations of X-elements via residuals agree."""
+    """Three equivalent characterizations of X-elements via residuals agree."""
+    # The third form, (i : a) = i for every a outside X, is not compared: the
+    # X-element scan flags an a outside X with (i : a) not <= i, and i*a <= i
+    # gives i <= (i : a), so it is the same test on the same residuals.
     xmask = X.mask
     below, down = M._prod_below, M.order.down
     for i in M.proper_elements():
         direct = i in xels
-        via_residual_fixed = residual_characterization(M, X, i)
         # (i : a) for every a not <= i.
         outside = [row[i] for a, row in enumerate(below) if not down[i] >> a & 1]
         via_residual_xel = all(r in xels for r in outside)
         via_residual_down = all(down[r] & ~xmask == 0 for r in outside)
-        if not direct == via_residual_fixed == via_residual_xel == via_residual_down:
+        if not direct == via_residual_xel == via_residual_down:
             return CheckResult(
                 "L7", X.name, False,
-                f"characterizations disagree at {M.label(i)}: "
-                f"direct={direct} fixed-residual={via_residual_fixed} "
+                f"characterizations disagree at {M.label(i)}: direct={direct} "
                 f"residual-X-element={via_residual_xel} residual-down-set={via_residual_down}",
             )
     return CheckResult("L7", X.name, True)
@@ -359,20 +360,12 @@ def _check_l15(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
     return CheckResult("L15", X.name, True)
 
 
-def _check_l16(
-    M: MultiplicativeLattice,
-    canon: dict[str, MClosedSet],
-    xels_of: dict[frozenset[int], frozenset[int]],
-) -> CheckResult:
-    """n-elements are r-elements and J-elements; the underlying set inclusions hold."""
-    rset, nset, jset = canon.values()
-    n_els, r_els, j_els = (xels_of[X.members] for X in (nset, rset, jset))
-    if not n_els <= r_els:
-        bad = next(iter(n_els - r_els))
-        return CheckResult("L16", "global", False, f"n-element {M.label(bad)} is not an r-element")
-    if not n_els <= j_els:
-        bad = next(iter(n_els - j_els))
-        return CheckResult("L16", "global", False, f"n-element {M.label(bad)} is not a J-element")
+def _check_l16(M: MultiplicativeLattice, canon: dict[str, MClosedSet]) -> CheckResult:
+    """The nil down-set lies inside Z(L) and radical(bottom) below the Jacobson radical.
+
+    Given these inclusions, L2 finds every n-element among the r- and J-elements.
+    """
+    rset, nset = canon["r"], canon["n"]
     if nset.mask & ~rset.mask:
         bad = next(iter_bits(nset.mask & ~rset.mask))
         return CheckResult(

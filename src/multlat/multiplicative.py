@@ -143,7 +143,10 @@ class MultiplicativeLattice(FiniteLattice):
 
     @cached_property
     def _nil_mask(self) -> int:
-        return mask_of(a for a in range(self.size) if self.bottom in self.power_closure(a))
+        # The nilpotents are the down-set of radical(bottom), their join: y <= x
+        # gives y^k <= x^k, and with x^p = y^q = bottom, (x v y)^(p+q-1) is a
+        # join of terms x^i y^j, each below x^p or y^q.
+        return self.order.down[self.radical(self.bottom)]
 
     def nilpotents(self) -> frozenset[int]:
         return frozenset(iter_bits(self._nil_mask))

@@ -2,7 +2,7 @@
 
 Elements are dense integer indices 0..size-1. The order relation is stored
 as bitmask rows: bit j of ``up[i]`` is set iff i <= j, closed in one pass in
-topological order (only cyclic input goes through Warshall's scan, which
+topological order (cyclic input goes through Warshall's scan, which only
 names the cycle). Meets and joins are found by intersecting down-/up-masks
 and looking up the principal down-/up-set equal to the result; the full
 meet/join tables are precomputed at validation time, one scan per unordered
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 
 class CycleError(ValueError):
@@ -85,7 +85,7 @@ def build_order(size: int, pairs: Iterable[tuple[int, int]]) -> PartialOrder:
             if not indegree[y]:
                 topo.append(y)
     if len(topo) < size:
-        return _warshall(size, [(x, y) for x in range(size) for y in succ[x]])
+        _warshall(size, [(x, y) for x in range(size) for y in succ[x]])
     up = [1 << i for i in range(size)]
     for x in reversed(topo):
         for y in succ[x]:
@@ -97,8 +97,13 @@ def build_order(size: int, pairs: Iterable[tuple[int, int]]) -> PartialOrder:
     return PartialOrder(size, tuple(up), tuple(down))
 
 
-def _warshall(size: int, pairs: list[tuple[int, int]]) -> PartialOrder:
-    """Warshall's closure on bitmask rows; CycleError names the first cycle in index order."""
+def _warshall(size: int, pairs: list[tuple[int, int]]) -> NoReturn:
+    """Raise CycleError naming the first cycle of cyclic ``pairs`` in index order.
+
+    Warshall's closure on bitmask rows; the witness is the first i with some
+    j != i and i <= j <= i, and the first such j. ``build_order`` calls this
+    only on input Kahn's algorithm cannot order, which has a cycle.
+    """
     up = [1 << i for i in range(size)]
     for x, y in pairs:
         up[x] |= 1 << y
@@ -108,18 +113,11 @@ def _warshall(size: int, pairs: list[tuple[int, int]]) -> PartialOrder:
         for i in range(size):
             if up[i] & bit_k:
                 up[i] |= row_k
-    down = [0] * size
     for i in range(size):
-        row = up[i]
-        bit_i = 1 << i
-        for j in iter_bits(row):
-            down[j] |= bit_i
-    for i in range(size):
-        both = up[i] & down[i]
-        if both != 1 << i:
-            j = next(b for b in iter_bits(both) if b != i)
-            raise CycleError(i, j)
-    return PartialOrder(size, tuple(up), tuple(down))
+        for j in iter_bits(up[i] & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise CycleError(i, j)
+    raise AssertionError("_warshall called on acyclic input")
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,9 +60,6 @@ class ClassificationReport:
     rows: tuple[ElementReport, ...]
 
 
-FLAG_ORDER = ("prime", "primary", "maximal", "r-element", "n-element", "j-element")
-
-
 def classify_lattice(
     M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()
 ) -> ClassificationReport:

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
 
-from .classify import canonical_sets, is_x_element
+from .classify import canonical_sets, distinct_sets, x_elements
 from .multiplicative import MultiplicativeLattice, attach_multiplication
 from .order import build_order, validate_lattice
 from .report import _yn
@@ -400,8 +400,14 @@ class CrossValidationReport:
 
 
 def cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
-    """Classify every proper ideal of ``model`` on the ring and on its lattice M."""
+    """Classify every proper ideal of ``model`` on the ring and on its lattice M.
+
+    The lattice side decides each distinct canonical set's X-elements once;
+    nil = jrad on every ring lattice, as a finite ring's Jacobson radical is
+    its nilradical.
+    """
     sets = canonical_sets(M)
+    xels_of = {X.members: x_elements(M, X) for X in distinct_sets(sets.values())}
     labels = model.labels()
     rows = []
     for idx in model.proper_indices():
@@ -410,7 +416,7 @@ def cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
             "n": ring_is_n_ideal(model, idx),
             "j": ring_is_j_ideal(model, idx),
         }
-        lattice_flags = {letter: is_x_element(M, X, idx) for letter, X in sets.items()}
+        lattice_flags = {letter: idx in xels_of[X.members] for letter, X in sets.items()}
         for which in ("r", "n", "j"):
             if ring_flags[which] != lattice_flags[which]:
                 raise CrossValidationMismatch(

@@ -30,7 +30,7 @@ class SearchHit:
 
 def _find_join_escape(M: MultiplicativeLattice) -> SearchHit | None:
     for X in distinct_sets(canonical_sets(M).values()):
-        pair = join_escape(M, X, x_elements(M, X))
+        pair = join_escape(M, x_elements(M, X))
         if pair is not None:
             i1, i2 = pair
             return SearchHit(

@@ -17,7 +17,8 @@
 Order lines accept any <=-pairs; the loader takes the reflexive-transitive
 closure, validates the lattice and the multiplication axioms, and validates
 every named set as M-closed. ``elements:`` and ``multiplication:`` appear
-once each. Parse errors carry 1-based line and column.
+once each. A directive ends at its first ``:``, so no label may contain one.
+Parse errors carry 1-based line and column.
 """
 
 from __future__ import annotations
@@ -103,6 +104,9 @@ def parse_spec(text: str) -> LatticeSpecFile:
             toks = [tok for tok, _ in values]
             if not toks:
                 raise ParseError(lineno, colon + 2, "no elements given")
+            for tok, col in values:
+                if ":" in tok:
+                    raise ParseError(lineno, col, f"element label {tok!r} contains ':'")
             label_set = frozenset(toks)
             if len(label_set) < len(toks):
                 for tok, col in values:
@@ -202,7 +206,14 @@ def load_path(path) -> tuple[MultiplicativeLattice, dict[str, MClosedSet]]:
 
 
 def render_spec(M: MultiplicativeLattice, named: dict[str, MClosedSet] | None = None) -> str:
-    """Emit a spec that loads back to the identical lattice and sets."""
+    """Emit a spec that loads back to the identical lattice and sets.
+
+    ValueError names the first label or set name that has no spec form: an
+    empty one, or one with ':', '#' or whitespace.
+    """
+    for text in (*M.labels, *(named or {})):
+        if not text or re.search(r"[\s:#]", text):
+            raise ValueError(f"cannot write {text!r} in a spec: empty, or has ':', '#' or whitespace")
     lines = [f"name: {M.name}", f"elements: {' '.join(M.labels)}"]
     for x, y in M.covers():
         lines.append(f"order: {M.label(x)} < {M.label(y)}")

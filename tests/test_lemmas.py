@@ -143,8 +143,8 @@ def test_suite_reports_failures_with_witnesses(z12, monkeypatch):
     ids=["zn:360", "prod:4,9", "chain:6", "kite"],
 )
 def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
-    # One pass per distinct set (k*p), then L3 (at most p); L4 reads the
-    # residual table and every other check reads the shared pass.
+    # One pass per distinct set (k*p); L3 reads the Jacobson set's pass, L4
+    # reads the residual table and every other check reads the shared pass.
     import multlat.lemmas as lemmas
 
     M = build()
@@ -160,7 +160,32 @@ def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
     assert_suite_passes(lemmas.lemma_suite(M))
     k = len(distinct_sets([*canonical_sets(M).values(), prime_meet_downset(M)]))
     p = len(M.proper_elements())
-    assert calls <= k * p + p, (calls, k, p)
+    assert calls <= k * p, (calls, k, p)
+
+
+def test_join_escapes_read_the_decided_x_elements(z15, monkeypatch, capsys):
+    # L6 and the join-of-x-not-x search decide a join by membership in the
+    # X-elements already found, so neither calls classify.is_x_element.
+    import multlat.classify as classify
+    from multlat import acceptance_corpus, search_corpus
+    from multlat.cli import main
+
+    instances = [z15, *acceptance_corpus(120)]
+
+    def run():
+        suites = [lemma_suite(M).render() for M in instances]
+        hits = [h.render() for h in search_corpus(instances, "join-of-x-not-x")]
+        code = main(["search", "--corpus", "zn:15", "--find", "join-of-x-not-x"])
+        return suites, hits, code, capsys.readouterr().out
+
+    want = run()
+    assert want[1] and want[2] == 0 and "zn:15" in want[3]
+
+    def no_decision(M, X, i):
+        raise AssertionError("is_x_element called on a decided join")
+
+    monkeypatch.setattr(classify, "is_x_element", no_decision)
+    assert run() == want
 
 
 def test_l10_reads_the_suites_prime_meet_x_elements(z12, z15, kite, monkeypatch):

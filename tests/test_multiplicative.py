@@ -326,6 +326,17 @@ def test_radical_fixed_points_and_monotone(z12, kite):
             assert M.radical(r) == r
 
 
+def test_nil_mask_matches_the_power_walk():
+    # The nilpotents as the down-set of radical(bottom), against the walk
+    # over each element's powers.
+    from multlat.order import mask_of
+    from conftest import x_set_instances
+
+    for M in x_set_instances():
+        walk = mask_of(a for a in range(M.size) if M.bottom in M.power_closure(a))
+        assert M._nil_mask == walk, M.name
+
+
 def test_nilpotents_and_zero_divisors(z12, z15, kite):
     assert {z12.label(i) for i in z12.nilpotents()} == {"(0)", "(6)"}
     assert {z12.label(i) for i in z12.zero_divisors()} == {"(0)", "(2)", "(3)", "(4)", "(6)"}

@@ -263,3 +263,60 @@ def test_generated_150_element_table_spec_round_trips():
     assert M2.labels == M.labels and M2.table == M.table
     assert M2.lattice.order.up == M.lattice.order.up
     assert render_spec(M2) == rendered
+
+
+TINY_HEAD = "elements: a b\norder: a < b\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, col, msg",
+    [
+        (": a b\n", 1, 1, "missing directive name"),
+        ("elements:\n", 1, 10, "no elements given"),
+        ("elements: a b\norder: a <= b\n", 2, 7, "expected 'order: A < B'"),
+        (TINY_HEAD + "multiplication: join\n", 3, 17, "expected trivial, meet or table"),
+        (TINY_HEAD + "multiplication:\n", 3, 16, "expected trivial, meet or table"),
+        (TINY_HEAD + "xset s: a\nxset s: b\n", 4, 1, "duplicate xset 's'"),
+        (TINY_HEAD + "xset s:\n", 3, 8, "empty xset"),
+        (TINY_HEAD + "xset s: zdiv a\n", 3, 14, "keyword form takes no members"),
+        (TINY_HEAD + "xset s: downset a b\n", 3, 8, "expected 'downset <label>'"),
+        (TINY_HEAD + "multiplication: meet\nrow a: a a\nrow b: a b\n", 1, 1,
+         "row lines require 'multiplication: table'"),
+    ],
+)
+def test_parse_error_branches_pinned(text, line, col, msg):
+    with pytest.raises(ParseError) as err:
+        parse_spec(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"line {line}, col {col}: {msg}"
+
+
+def test_colon_in_element_label_is_a_parse_error():
+    # A directive ends at its first ':', so no row line could name such a label.
+    for text, col in (("elements: 0 a:b 1\n", 13), ("elements: : a\n", 11)):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text + "order: 0 < 1\nmultiplication: meet\n")
+        assert (err.value.line, err.value.col) == (1, col)
+        assert "contains ':'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "labels, set_name, bad",
+    [
+        (("0", "a:b", "1"), None, "a:b"),
+        (("0", "a#b", "1"), None, "a#b"),
+        (("0", "", "1"), None, ""),
+        (("0", "a b", "1"), None, "a b"),
+        (("0", "a", "1"), "downset:a", "downset:a"),  # the name `--x downset:a` gives
+        (("0", "a", "1"), "x\ty", "x\ty"),
+    ],
+)
+def test_render_spec_rejects_unwritable_names(labels, set_name, bad):
+    from multlat import downset_m_closed, lattice_from_pairs, meet_mult
+
+    M = meet_mult(lattice_from_pairs(3, [(0, 1), (1, 2)], labels), name="chain")
+    named = {} if set_name is None else {set_name: downset_m_closed(M, 1, set_name)}
+    with pytest.raises(ValueError) as err:
+        render_spec(M, named)
+    assert repr(bad) in str(err.value)
+
