@@ -39,6 +39,7 @@ from .multiplicative import (
     TopJoinReducible,
     attach_multiplication,
     meet_mult,
+    product,
     trivial_mult,
 )
 from .order import (

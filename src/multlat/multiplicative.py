@@ -17,6 +17,11 @@ J(L) are computed directly, and every other row is the elementwise meet of
 two earlier rows by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2)
 lookups in all.
 
+``product`` builds A x B from two validated factors componentwise, its
+residual table and J(L) included. It validates nothing: every axiom is an
+equation, and an equation holds in A x B exactly when it holds in A and in
+B (the proof is in its docstring).
+
 Every query is pure; negative classification answers expose the first
 violating tuple in element-index order.
 """
@@ -25,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable
 
-from .order import FiniteLattice, iter_bits, mask_of
+from .order import FiniteLattice, PartialOrder, iter_bits, mask_of
 
 
 class AxiomViolation(ValueError):
@@ -68,7 +73,8 @@ class MultiplicativeLattice(FiniteLattice):
     """A finite lattice together with a validated multiplication table.
 
     Immutable; build through :func:`attach_multiplication` (or the
-    ``trivial_mult`` / ``meet_mult`` shortcuts). Equality is identity.
+    ``trivial_mult`` / ``meet_mult`` shortcuts), or :func:`product` from
+    two of them. Equality is identity.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -394,6 +400,83 @@ def _full_axiom_scan(lattice: FiniteLattice, rows: tuple[tuple[int, ...], ...]) 
                         (a, b, c),
                         f"a*(b*c) = {row_a[row_b[c]]}, (a*b)*c = {rows[ab][c]}",
                     )
+
+
+def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L") -> MultiplicativeLattice:
+    """The product A x B, built componentwise from the two validated factors.
+
+    (a1, a2) has index a1*k2 + a2, with k2 = B.size, and label
+    ``f"{label1}x{label2}"``. The order, meet, join, multiplication and
+    residual tables, bottom, top and J(L) all come from the factors' data;
+    nothing is validated again, because nothing can fail:
+
+    * The componentwise order is a partial order, and the componentwise meet
+      and join are the greatest lower and least upper bounds in it; bottom
+      and top are (bottom, bottom) and (top, top).
+    * Every multiplicative-lattice axiom is an equation between terms in *,
+      v, top and bottom. Each term evaluates componentwise, so an equation
+      holds in A x B exactly when it holds in A and in B, which
+      ``attach_multiplication`` checked when it built them.
+    * x*a <= i holds exactly when x1*a1 <= i1 and x2*a2 <= i2, so the largest
+      such x is ((i1 : a1), (i2 : a2)).
+    * The lower covers of (q1, q2) are the (c1, q2) with c1 covered by q1
+      and the (q1, c2) with c2 covered by q2, so (q1, q2) covers exactly one
+      element when one coordinate is bottom and the other is join-irreducible:
+      J(A x B) = J(A) x {bottom} u {bottom} x J(B).
+
+    Raises ValueError when two label pairs join to the same label.
+    """
+    k1, k2 = A.size, B.size
+    n = k1 * k2
+    labels = tuple(f"{a}x{b}" for a in A.labels for b in B.labels)
+    if len(set(labels)) != n:
+        raise ValueError("duplicate labels")
+    # cells[x1] holds the indices x1*k2 .. x1*k2 + k2 - 1; every table entry is
+    # picked from these tuples, so the tables share one int object per index.
+    cells = [tuple(range(x1 * k2, x1 * k2 + k2)) for x1 in range(k1)]
+
+    def combine(left, right) -> tuple[tuple[int, ...], ...]:
+        # Row (a1, a2) holds cells[left[a1][x1]][right[a2][x2]] for x1, then x2;
+        # picked[a2][y1] is block y1 of it with its entries already chosen.
+        picked = [list(map(_picker(rb), cells)) for rb in right]
+        getters = [_picker(ra) for ra in left]
+        return tuple(tuple(chain.from_iterable(get(blocks))) for get in getters for blocks in picked)
+
+    # A down-set (or up-set) of A x B is a product of one in A and one in B:
+    # spread[m] puts B's whole range at each member of the A-mask m, and
+    # m * tile copies the B-mask m into every block.
+    full_b = (1 << k2) - 1
+    tile = sum(1 << (x1 * k2) for x1 in range(k1))
+
+    def masks(rows_a, rows_b) -> tuple[int, ...]:
+        spread = [sum(full_b << (x1 * k2) for x1 in iter_bits(m)) for m in rows_a]
+        return tuple(s & (m * tile) for s in spread for m in rows_b)
+
+    M = MultiplicativeLattice(
+        order=PartialOrder(n, masks(A.order.up, B.order.up), masks(A.order.down, B.order.down)),
+        bottom=A.bottom * k2 + B.bottom,
+        top=A.top * k2 + B.top,
+        meet_table=combine(A.meet_table, B.meet_table),
+        join_table=combine(A.join_table, B.join_table),
+        labels=labels,
+        table=combine(A.table, B.table),
+        name=name,
+    )
+    # Filled where cached_property would store them, so they are never recomputed.
+    vars(M)["_prod_below"] = combine(A._prod_below, B._prod_below)
+    vars(M)["join_irreducibles"] = tuple(sorted(
+        [q * k2 + B.bottom for q in A.join_irreducibles]
+        + [A.bottom * k2 + q for q in B.join_irreducibles]
+    ))
+    return M
+
+
+def _picker(indices: tuple[int, ...]):
+    """A callable taking s to the tuple of s[i] for i in ``indices``, in C."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
 
 
 def trivial_mult(lattice: FiniteLattice, name: str = "L") -> MultiplicativeLattice:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 
-from .classify import MClosedSet, canonical_sets, x_witness
+from .classify import MClosedSet, canonical_sets, distinct_sets, x_witness
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
 
 
@@ -81,6 +81,13 @@ def classify_lattice(
         domain=M.is_domain(),
         reduced=M.is_reduced(),
     )
+    # x_witness reads only the members, so each distinct set is scanned once
+    # (on a ring lattice nil = jrad); top is improper and never scanned.
+    proper = M.proper_elements()
+    witnesses = {
+        X.members: {i: x_witness(M, X, i) for i in proper}
+        for X in distinct_sets([*canonical.values(), *xsets])
+    }
     rows = []
     for i in range(M.size):
         flags: dict[str, FlagResult] = {}
@@ -90,9 +97,9 @@ def classify_lattice(
         mw = M.maximal_witness(i)
         flags["maximal"] = _flag(M, improper, None if mw is None else (mw,))
         for flag_name, X in canonical.items():
-            flags[flag_name] = _flag(M, improper, x_witness(M, X, i))
+            flags[flag_name] = _flag(M, improper, witnesses[X.members].get(i))
         for X in xsets:
-            flags[f"x:{X.name}"] = _flag(M, improper, x_witness(M, X, i))
+            flags[f"x:{X.name}"] = _flag(M, improper, witnesses[X.members].get(i))
         rows.append(ElementReport(M.label(i), flags))
     return ClassificationReport(
         name=M.name,

@@ -2,8 +2,11 @@
 
 The lattice side encodes ideals of Z_n by the divisors of n: containment is
 reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
-is gcd(d1*d2, n). Each lattice is built from its covers, (d) above (d*p) for
-each prime p, and a product's covers and table come from its factors'. The ring side never touches that encoding: it works on
+is gcd(d1*d2, n). Each Z_n lattice is built from its covers, (d) above (d*p)
+for each prime p, and validated by ``attach_multiplication``. Since
+Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
+``multiplicative.product`` of the two, built componentwise with nothing
+validated again. The ring side never touches that encoding: it works on
 actual ring elements through ``ring_elements``, ``mul``, ``one``, ``zero``,
 ``ideal_subset`` and ``proper_indices``, so agreement between the two
 classifications is a genuine two-route check rather than one algorithm
@@ -45,7 +48,7 @@ from itertools import repeat
 from math import gcd
 
 from .classify import canonical_sets, distinct_sets, x_elements
-from .multiplicative import MultiplicativeLattice, attach_multiplication
+from .multiplicative import MultiplicativeLattice, attach_multiplication, product
 from .order import build_order, validate_lattice
 from .report import _yn
 
@@ -204,11 +207,17 @@ class ProductRingModel(_RingSets):
 _LATTICE_CACHE_SIZE = 256
 
 
-def _divisor_lattice(n: int, divs: tuple[int, ...]) -> tuple[list, list]:
-    """Cover pairs and product table of the ideals of Z_n, by divisor index.
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
+    """The ideal lattice of Z_n as a validated multiplicative lattice.
 
-    The primes are the divisors above 1 with no smaller prime divisor.
+    (d) covers (d*p) for each prime p; the primes are the divisors above 1
+    with no smaller prime divisor.
     """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    divs = divisors(n)
+    model = ZnIdealModel(n, divs)
     index = {d: i for i, d in enumerate(divs)}
     primes: list[int] = []
     for d in divs[1:]:
@@ -216,17 +225,6 @@ def _divisor_lattice(n: int, divs: tuple[int, ...]) -> tuple[list, list]:
             primes.append(d)
     covers = [(index[d * p], i) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
     table = [[index[gcd(d * e, n)] for e in divs] for d in divs]
-    return covers, table
-
-
-@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
-def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
-    """The ideal lattice of Z_n as a validated multiplicative lattice."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    divs = divisors(n)
-    model = ZnIdealModel(n, divs)
-    covers, table = _divisor_lattice(n, divs)
     lattice = validate_lattice(build_order(len(divs), covers), model.labels())
     M = attach_multiplication(lattice, table, name=f"zn:{n}")
     return M, model
@@ -234,23 +232,18 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def ideal_lattice_product(m: int, n: int) -> tuple[MultiplicativeLattice, ProductRingModel]:
-    """The ideal lattice of Z_m x Z_n (componentwise divisor pairs).
+    """The ideal lattice of Z_m x Z_n, the product of those of Z_m and Z_n.
 
-    (d1, d2) has index i1*k2 + i2, from d1's and d2's indices in the factors.
+    Every ideal of Z_m x Z_n is I x J for ideals I of Z_m and J of Z_n, and
+    sums, intersections and products act componentwise. So the lattice is
+    ``product`` of the two factor lattices, each validated when it was
+    built, and (d1, d2) has index i1*k2 + i2 from d1's and d2's indices.
     """
     if m < 2 or n < 2:
         raise ValueError(f"moduli must be >= 2, got ({m}, {n})")
-    left, right = divisors(m), divisors(n)
-    model = ProductRingModel(m, n, tuple((d1, d2) for d1 in left for d2 in right))
-    covers_m, table_m = _divisor_lattice(m, left)
-    covers_n, table_n = _divisor_lattice(n, right)
-    k1, k2 = len(left), len(right)
-    covers = [(a * k2 + i2, b * k2 + i2) for a, b in covers_m for i2 in range(k2)]
-    covers += [(i1 * k2 + a, i1 * k2 + b) for i1 in range(k1) for a, b in covers_n]
-    lattice = validate_lattice(build_order(k1 * k2, covers), model.labels())
-    table = [[a * k2 + b for a in row_m for b in row_n] for row_m in table_m for row_n in table_n]
-    M = attach_multiplication(lattice, table, name=f"prod:{m},{n}")
-    return M, model
+    (left, left_model), (right, right_model) = ideal_lattice_zn(m), ideal_lattice_zn(n)
+    pairs = tuple((d1, d2) for d1 in left_model.divisors for d2 in right_model.divisors)
+    return product(left, right, name=f"prod:{m},{n}"), ProductRingModel(m, n, pairs)
 
 
 # -- ring-side classification (associate classes) ------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .classify import CANONICAL_SETS, MClosedSet, downset_m_closed, make_m_closed
 from .multiplicative import (
@@ -57,8 +58,12 @@ class LatticeSpecFile:
     xsets: tuple[tuple[str, str, tuple[str, ...]], ...]  # (name, kind, payload)
 
 
-def _tokens(line: str, start: int, stop: int) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.compile(r"\S+").finditer(line, start, stop)]
+_TOKEN = re.compile(r"\S+")
+
+
+def _column(line: str, start: int, k: int) -> int:
+    """1-based column of token k of ``line[start:]``; only error messages need it."""
+    return next(islice(_TOKEN.finditer(line, start), k, None)).start() + 1
 
 
 def parse_spec(text: str) -> LatticeSpecFile:
@@ -75,13 +80,16 @@ def parse_spec(text: str) -> LatticeSpecFile:
             raise ParseError(lineno, 1, "elements must be declared before this line")
         return labels
 
-    def check_labels(tokens: list[tuple[str, int]], lineno: int) -> tuple[str, ...]:
+    def check_labels(
+        toks: list[str], lineno: int, line: str, start: int, at: tuple[int, ...] | None = None
+    ) -> tuple[str, ...]:
+        # toks[k] is token at[k] (or k) of line[start:], for the column of an error.
         need_labels(lineno)
-        toks = tuple(tok for tok, _ in tokens)
         if not label_set.issuperset(toks):
-            tok, col = next(t for t in tokens if t[0] not in label_set)
-            raise ParseError(lineno, col, f"unknown element label {tok!r}")
-        return toks
+            k = next(k for k, tok in enumerate(toks) if tok not in label_set)
+            col = _column(line, start, k if at is None else at[k])
+            raise ParseError(lineno, col, f"unknown element label {toks[k]!r}")
+        return tuple(toks)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -90,42 +98,41 @@ def parse_spec(text: str) -> LatticeSpecFile:
         colon = line.find(":")
         if colon < 0:
             raise ParseError(lineno, 1, "expected 'directive: value'")
-        key_tokens = _tokens(line, 0, colon)
-        key = [tok for tok, _ in key_tokens]
-        values = _tokens(line, colon + 1, len(line))
+        key = line[:colon].split()
+        start = colon + 1
+        values = line[start:].split()
         if not key:
             raise ParseError(lineno, 1, "missing directive name")
         head = key[0]
         if head == "name" and len(key) == 1:
-            name = " ".join(tok for tok, _ in values) or "L"
+            name = " ".join(values) or "L"
         elif head == "elements" and len(key) == 1:
             if labels is not None:
                 raise ParseError(lineno, 1, "repeated 'elements:' declaration")
-            toks = [tok for tok, _ in values]
-            if not toks:
+            if not values:
                 raise ParseError(lineno, colon + 2, "no elements given")
-            for tok, col in values:
+            for k, tok in enumerate(values):
                 if ":" in tok:
-                    raise ParseError(lineno, col, f"element label {tok!r} contains ':'")
-            label_set = frozenset(toks)
-            if len(label_set) < len(toks):
-                for tok, col in values:
-                    if toks.count(tok) > 1:
-                        raise ParseError(lineno, col, f"duplicate label {tok!r}")
-            labels = tuple(toks)
+                    raise ParseError(lineno, _column(line, start, k), f"element label {tok!r} contains ':'")
+            label_set = frozenset(values)
+            if len(label_set) < len(values):
+                for k, tok in enumerate(values):
+                    if values.count(tok) > 1:
+                        raise ParseError(lineno, _column(line, start, k), f"duplicate label {tok!r}")
+            labels = tuple(values)
         elif head == "order" and len(key) == 1:
-            if len(values) != 3 or values[1][0] != "<":
+            if len(values) != 3 or values[1] != "<":
                 raise ParseError(lineno, colon + 2, "expected 'order: A < B'")
-            order_pairs.append(check_labels([values[0], values[2]], lineno))
+            order_pairs.append(check_labels([values[0], values[2]], lineno, line, start, (0, 2)))
         elif head == "multiplication" and len(key) == 1:
             if mult_kind is not None:
                 raise ParseError(lineno, 1, "repeated 'multiplication:' declaration")
-            if len(values) != 1 or values[0][0] not in ("trivial", "meet", "table"):
-                col = values[0][1] if values else colon + 2
+            if len(values) != 1 or values[0] not in ("trivial", "meet", "table"):
+                col = _column(line, start, 0) if values else colon + 2
                 raise ParseError(lineno, col, "expected trivial, meet or table")
-            mult_kind = values[0][0]
+            mult_kind = values[0]
         elif head == "row" and len(key) == 2:
-            (row_label,) = check_labels(key_tokens[1:], lineno)
+            (row_label,) = check_labels(key[1:], lineno, line, 0, (1,))
             if row_label in row_map:
                 raise ParseError(lineno, 1, f"duplicate row for {row_label!r}")
             n = len(need_labels(lineno))
@@ -133,24 +140,24 @@ def parse_spec(text: str) -> LatticeSpecFile:
                 raise ParseError(
                     lineno, colon + 2, f"row needs {n} entries, got {len(values)}"
                 )
-            row_map[row_label] = check_labels(values, lineno)
+            row_map[row_label] = check_labels(values, lineno, line, start)
         elif head == "xset" and len(key) == 2:
             set_name = key[1]
             if any(set_name == existing for existing, _, _ in xsets):
                 raise ParseError(lineno, 1, f"duplicate xset {set_name!r}")
             if not values:
                 raise ParseError(lineno, colon + 2, "empty xset")
-            first = values[0][0]
+            first = values[0]
             if first in XSET_KEYWORDS:
                 if len(values) != 1:
-                    raise ParseError(lineno, values[1][1], "keyword form takes no members")
+                    raise ParseError(lineno, _column(line, start, 1), "keyword form takes no members")
                 xsets.append((set_name, first, ()))
             elif first == "downset":
                 if len(values) != 2:
                     raise ParseError(lineno, colon + 2, "expected 'downset <label>'")
-                xsets.append((set_name, "downset", check_labels(values[1:], lineno)))
+                xsets.append((set_name, "downset", check_labels(values[1:], lineno, line, start, (1,))))
             else:
-                xsets.append((set_name, "members", check_labels(values, lineno)))
+                xsets.append((set_name, "members", check_labels(values, lineno, line, start)))
         else:
             raise ParseError(lineno, 1, f"unknown directive {' '.join(key)!r}")
 
@@ -209,11 +216,17 @@ def render_spec(M: MultiplicativeLattice, named: dict[str, MClosedSet] | None = 
     """Emit a spec that loads back to the identical lattice and sets.
 
     ValueError names the first label or set name that has no spec form: an
-    empty one, or one with ':', '#' or whitespace.
+    empty one, or one with ':', '#' or whitespace. It also rejects a lattice
+    name that is empty, has '#', or has whitespace other than single spaces
+    between words (a newline among them); ':' is fine in a name.
     """
     for text in (*M.labels, *(named or {})):
         if not text or re.search(r"[\s:#]", text):
             raise ValueError(f"cannot write {text!r} in a spec: empty, or has ':', '#' or whitespace")
+    if not M.name or "#" in M.name or M.name != " ".join(M.name.split()):
+        raise ValueError(
+            f"cannot write name {M.name!r} in a spec: empty, has '#', or whitespace other than single spaces"
+        )
     lines = [f"name: {M.name}", f"elements: {' '.join(M.labels)}"]
     for x, y in M.covers():
         lines.append(f"order: {M.label(x)} < {M.label(y)}")

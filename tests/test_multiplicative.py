@@ -19,15 +19,20 @@ from multlat import (
     MultiplicativeLattice,
     TopJoinReducible,
     attach_multiplication,
+    build_order,
     chain_lattice,
     ideal_lattice_product,
     ideal_lattice_zn,
+    kite_lattice,
     lattice_from_pairs,
     load_path,
     meet_mult,
+    product,
     trivial_mult,
+    validate_lattice,
 )
 from multlat import multiplicative
+from multlat.order import iter_bits
 from conftest import (
     LATTICE_DIR,
     brute_force_axioms_hold,
@@ -548,3 +553,81 @@ def test_zn_radical_formulas_agree_property(n):
         over = [p for p in M.prime_elements() if M.leq(a, p)]
         minimal = [p for p in over if not any(q != p and M.leq(q, p) for q in over)]
         assert M.radical(a) == M.big_meet(minimal)
+
+
+# -- products of validated factors ---------------------------------------------
+
+
+def product_oracle(A, B):
+    """A x B from scratch: every componentwise <=-pair through ``validate_lattice``,
+    the componentwise table through ``attach_multiplication``."""
+    k2 = B.size
+    leq_pairs = [
+        (a1 * k2 + a2, b1 * k2 + b2)
+        for a1 in range(A.size) for b1 in iter_bits(A.order.up[a1])
+        for a2 in range(k2) for b2 in iter_bits(B.order.up[a2])
+    ]
+    labels = [f"{a}x{b}" for a in A.labels for b in B.labels]
+    lattice = validate_lattice(build_order(A.size * k2, leq_pairs), labels)
+    table = [
+        [A.table[a1][b1] * k2 + B.table[a2][b2] for b1 in range(A.size) for b2 in range(k2)]
+        for a1 in range(A.size) for a2 in range(k2)
+    ]
+    return lattice, table, attach_multiplication(lattice, table, "oracle")
+
+
+def assert_product_matches_oracle(A, B, brute_force=True):
+    M = product(A, B, f"{A.name}x{B.name}")
+    lattice, table, oracle = product_oracle(A, B)
+    assert (M.order.up, M.order.down) == (lattice.order.up, lattice.order.down)
+    assert M.meet_table == lattice.meet_table and M.join_table == lattice.join_table
+    assert M.table == oracle.table and M.labels == lattice.labels
+    assert (M.bottom, M.top, M.name) == (lattice.bottom, lattice.top, f"{A.name}x{B.name}")
+    if brute_force:
+        assert brute_force_axioms_hold(lattice, table)
+    # The residual table and J(L) are filled in by product; recompute both.
+    assert M._prod_below == MultiplicativeLattice._prod_below.func(M) == oracle._prod_below
+    k2 = B.size
+    formula = sorted([q * k2 + B.bottom for q in A.join_irreducibles]
+                     + [A.bottom * k2 + q for q in B.join_irreducibles])
+    assert list(M.join_irreducibles) == formula
+    assert M.join_irreducibles == FiniteLattice.join_irreducibles.func(M)
+
+
+PRODUCT_FACTORS = {
+    "M3+top": m3_plus_top,
+    "N5+top": n5_plus_top,
+    "K": kite_lattice,
+    "chain-meet:5": lambda: chain_lattice(5, "meet"),
+    "zn:12": lambda: ideal_lattice_zn(12)[0],
+}
+
+
+@pytest.mark.parametrize("left", PRODUCT_FACTORS)
+@pytest.mark.parametrize("right", PRODUCT_FACTORS)
+def test_product_matches_the_oracle_on_non_distributive_factors(left, right):
+    assert_product_matches_oracle(PRODUCT_FACTORS[left](), PRODUCT_FACTORS[right]())
+
+
+def test_product_with_a_one_element_factor():
+    point = chain_lattice(1, "meet")
+    for A in (m3_plus_top(), n5_plus_top(), point):
+        assert_product_matches_oracle(A, point)
+        assert_product_matches_oracle(point, A)
+
+
+def test_product_matches_the_oracle_on_generated_tables():
+    # Every 20th accepted J(L)-generated table, times the next one and a chain.
+    sample = list(itertools.islice(irreducible_generated_instances(), 0, None, 20))
+    assert len(sample) >= 15
+    chain = chain_lattice(3, "meet")
+    for A, B in zip(sample, sample[1:] + sample[:1]):
+        assert_product_matches_oracle(A, B, brute_force=False)
+        assert_product_matches_oracle(A, chain, brute_force=A.size <= 7)
+
+
+def test_product_rejects_colliding_labels():
+    A = meet_mult(lattice_from_pairs(2, [(0, 1)], ("a", "ax")))
+    B = meet_mult(lattice_from_pairs(2, [(0, 1)], ("xb", "b")))
+    with pytest.raises(ValueError, match="duplicate labels"):
+        product(A, B)  # "ax" x "b" and "a" x "xb" both read "axxb"

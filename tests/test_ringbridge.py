@@ -487,11 +487,7 @@ def test_large_products_match_the_all_pairs_construction(moduli):
     assert_matches_all_pairs_construction(moduli)
 
 
-@pytest.mark.parametrize(
-    "moduli",
-    [(n,) for n in (2, 12, 30, 64, 360, 720720)] + [(4, 9), (25, 8), (28, 30), (72, 72)],
-    ids=ring_id,
-)
+@pytest.mark.parametrize("moduli", [(n,) for n in (2, 12, 30, 64, 360, 720720)], ids=ring_id)
 def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
     # k * omega(n) pairs for Z_n: each Hasse edge once, and nothing else.
     seen = []
@@ -501,7 +497,48 @@ def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
         return build_order(size, seen[-1])
 
     monkeypatch.setattr(ringbridge, "build_order", recording)
-    build = ideal_lattice_zn if len(moduli) == 1 else ideal_lattice_product
-    M = build.__wrapped__(*moduli)[0]
+    M = ideal_lattice_zn.__wrapped__(*moduli)[0]
     (pairs,) = seen
     assert sorted(pairs) == sorted(M.covers()), moduli
+
+
+@pytest.mark.parametrize("moduli", [(4, 9), (25, 8), (28, 30), (72, 72)], ids=ring_id)
+def test_products_validate_only_their_factors(monkeypatch, moduli):
+    # A product is built from its two factor lattices and validates nothing
+    # itself, nor computes its residual table; each factor goes through
+    # build_order, validate_lattice and attach_multiplication once, on the
+    # factor's size.
+    from multlat import multiplicative, order
+
+    for m in moduli:
+        ideal_lattice_zn(m)  # the factors, cached
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product build validated something")
+
+    with monkeypatch.context() as patch:
+        for module in (order, multiplicative, ringbridge):
+            for name in ("build_order", "validate_lattice", "attach_multiplication"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, forbidden)
+        M = ideal_lattice_product.__wrapped__(*moduli)[0]
+    assert {"_prod_below", "join_irreducibles"} <= vars(M).keys()
+
+    calls = []
+
+    def recording(name, real):
+        def record(first, *args, **kwargs):
+            calls.append((name, first if name == "build_order" else first.size))
+            return real(first, *args, **kwargs)
+
+        return record
+
+    for name in ("build_order", "validate_lattice", "attach_multiplication"):
+        monkeypatch.setattr(ringbridge, name, recording(name, getattr(ringbridge, name)))
+    sizes = [len(divisors(m)) for m in moduli]
+    monkeypatch.setattr(ringbridge, "ideal_lattice_zn", ideal_lattice_zn.__wrapped__)
+    M = ideal_lattice_product.__wrapped__(*moduli)[0]
+    assert sorted(calls) == sorted(
+        (name, k) for k in sizes for name in ("build_order", "validate_lattice", "attach_multiplication")
+    )
+    assert M.size == sizes[0] * sizes[1]

@@ -320,3 +320,22 @@ def test_render_spec_rejects_unwritable_names(labels, set_name, bad):
         render_spec(M, named)
     assert repr(bad) in str(err.value)
 
+
+
+def _chain(name):
+    from multlat import lattice_from_pairs, meet_mult
+
+    return meet_mult(lattice_from_pairs(2, [(0, 1)], ("0", "1")), name=name)
+
+
+@pytest.mark.parametrize("name", ["a#b", "", "  x  y", "x  y", "x\ny", "x\ty", "x "])
+def test_render_spec_rejects_names_that_do_not_reload(name):
+    with pytest.raises(ValueError) as err:
+        render_spec(_chain(name))
+    assert repr(name) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["x y", "a:b", "prod:72,72", "sub(F2^4)+top"])
+def test_render_spec_names_round_trip(name):
+    M, _ = loads(render_spec(_chain(name)))
+    assert M.name == name
