@@ -23,6 +23,7 @@ from .classify import (
     prime_meet_downset,
     principal_generator,
     residual_characterization,
+    x_element_mask,
     x_elements,
     x_mult_closed_witness,
     x_witness,

@@ -7,6 +7,12 @@ down-set of the radical of bottom, and the down-set of the Jacobson radical
 yields the r-, n- and J-element classes. Down-sets and Z(L) are M-closed by
 proof and skip the closure scan; ``make_m_closed`` scans member lists from outside.
 
+The predicate is read off the lattice's escape masks, each built once
+(see ``multiplicative``): ``x_element_mask`` decides a whole set with at
+most n ORs of F, and ``x_witness`` reads one pair off E in O(1).
+``residual_characterization`` and ``complement_characterization`` are the
+slow per-element forms, kept as oracles for the tests.
+
 All functions are pure; negative answers come with the first violating pair
 in element-index order.
 """
@@ -153,15 +159,24 @@ def principal_generator(M: MultiplicativeLattice, X: MClosedSet) -> int | None:
 
 def x_witness(M: MultiplicativeLattice, X: MClosedSet, i: int) -> tuple[int, int] | None:
     """First (a, b) with a*b <= i, a outside X, b not <= i; None if no pair."""
-    return M.escape_witness(i, X.mask, M.down_mask(i))
+    return M.residual_witness(i, X.mask)
 
 
 def is_x_element(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
     return i != M.top and x_witness(M, X, i) is None
 
 
+def x_element_mask(M: MultiplicativeLattice, X: MClosedSet) -> int:
+    """The X-elements as a mask: the proper elements at which no a outside X escapes."""
+    escapes = M._escape_sets
+    hit = 1 << M.top
+    for a in iter_bits(M.full_mask & ~X.mask):
+        hit |= escapes[a]
+    return M.full_mask & ~hit
+
+
 def x_elements(M: MultiplicativeLattice, X: MClosedSet) -> frozenset[int]:
-    return frozenset(i for i in M.proper_elements() if x_witness(M, X, i) is None)
+    return frozenset(iter_bits(x_element_mask(M, X)))
 
 
 def is_r_element(M: MultiplicativeLattice, i: int) -> bool:
@@ -197,7 +212,8 @@ def prime_meet_facts(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[in
 def residual_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
     """i proper and (i : a) = i for every a outside X.
 
-    Agrees with ``is_x_element`` on every input of a finite lattice.
+    Agrees with ``is_x_element`` on every input of a finite lattice. A slow
+    oracle for the tests: no check of the suite calls it.
     """
     if i == M.top:
         return False
@@ -268,7 +284,8 @@ def make_x_mult_closed(
 def complement_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
     """Whether the complement of the down-set of i is X-multiplicatively closed.
 
-    For proper i of a finite lattice this agrees with ``is_x_element``.
+    For proper i of a finite lattice this agrees with ``is_x_element``. A
+    slow oracle for the tests: L14 decides the same from the masks.
     """
     if i == M.top:
         raise ValueError("i must be proper")

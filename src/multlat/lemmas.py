@@ -11,9 +11,16 @@ finding none is not a failure).
 The per-set checks run for each given set and for the canonical sets (zero
 divisors, nil down-set, Jacobson down-set); the prime-meet down-set of L10
 and L11 is the nil down-set, since radical(bottom) is the meet of all
-primes. The suite decides the X-elements of each distinct set once and
-hands them to every check that reads them, the global ones included; L16
-leaves the n-elements' inclusions to L2, which compares every nested pair.
+primes. The suite decides the X-elements of each distinct set once, with
+``x_element_mask``, and hands them to every check that reads them, the
+global ones included; L16 leaves the n-elements' inclusions to L2, which
+compares every nested pair.
+
+L7 and L14 compare that decision, which comes from the multiplication
+table over J(L), with the lattice's residual-table masks (see
+``multiplicative``): i <= (i : a) always, since i*a <= i, and
+(i : a) = top exactly when a <= i, since top*a = a. So each costs O(n)
+mask operations per set.
 """
 
 from __future__ import annotations
@@ -24,12 +31,11 @@ from dataclasses import dataclass
 from .classify import (
     MClosedSet,
     canonical_sets,
-    complement_characterization,
     distinct_sets,
-    is_x_element,
     join_escape,
     prime_meet_facts,
     principal_generator,
+    x_element_mask,
     x_witness,
 )
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
@@ -87,10 +93,7 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
     canon = canonical_sets(M)
     sets = distinct_sets([*xsets, *canon.values()])
     # Keyed by members: a set folded into an equal one is found under them.
-    xels_of = {
-        X.members: frozenset(i for i in M.proper_elements() if is_x_element(M, X, i))
-        for X in sets
-    }
+    xels_of = {X.members: frozenset(iter_bits(x_element_mask(M, X))) for X in sets}
 
     results: list[CheckResult] = []
     for X in sets:
@@ -217,17 +220,16 @@ def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
 
 def _check_l7(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
     """Three equivalent characterizations of X-elements via residuals agree."""
-    # The third form, (i : a) = i for every a outside X, is not compared: the
-    # X-element scan flags an a outside X with (i : a) not <= i, and i*a <= i
-    # gives i <= (i : a), so it is the same test on the same residuals.
-    xmask = X.mask
-    below, down = M._prod_below, M.order.down
+    # Both residual forms read R[i], the (i : a) over a not <= i. The third
+    # form, (i : a) = i for every a outside X, is not compared: it is L14's
+    # E[i] inside X, and L14 compares it.
+    xmask, xel_mask = X.mask, mask_of(xels)
+    down, values = M.order.down, M._residual_values
+    inside = mask_of(e for e in range(M.size) if down[e] & ~xmask == 0)
     for i in M.proper_elements():
         direct = i in xels
-        # (i : a) for every a not <= i.
-        outside = [row[i] for a, row in enumerate(below) if not down[i] >> a & 1]
-        via_residual_xel = all(r in xels for r in outside)
-        via_residual_down = all(down[r] & ~xmask == 0 for r in outside)
+        via_residual_xel = values[i] & ~xel_mask == 0
+        via_residual_down = values[i] & ~inside == 0
         if not direct == via_residual_xel == via_residual_down:
             return CheckResult(
                 "L7", X.name, False,
@@ -343,8 +345,13 @@ def _check_l13(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) ->
 
 def _check_l14(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> CheckResult:
     """X-element iff the complement of its down-set is X-multiplicatively closed."""
+    # The complement S of down(i) is X-multiplicatively closed when every a
+    # outside X is in S, that is down(i) lies inside X, and no a outside X
+    # has a*b <= i for some b in S, that is E[i] lies inside X.
+    xmask = X.mask
+    down, movers = M.order.down, M._residual_movers
     for i in M.proper_elements():
-        if (i in xels) != complement_characterization(M, X, i):
+        if (i in xels) != ((down[i] | movers[i]) & ~xmask == 0):
             return CheckResult(
                 "L14", X.name, False,
                 f"{M.label(i)}: X-element and complement characterization disagree",

@@ -17,6 +17,20 @@ J(L) are computed directly, and every other row is the elementwise meet of
 two earlier rows by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2)
 lookups in all.
 
+Three escape masks, each built once, answer every X-element question. An
+element a *escapes* at i when a*b <= i for some b not <= i.
+
+* F[a], the i at which a escapes, read off the table alone: b may be taken
+  in J(L), as some q in J(L) below b is not <= i either and a*q <= a*b.
+  The X-elements of X are the proper elements outside the F[a], a not in X.
+* E[i], the a with (i : a) != i. Since i*a <= i, i <= (i : a); so a
+  escapes at i exactly when (i : a) != i, and the first b is the first
+  element below (i : a) but not below i. The X-element and prime witnesses
+  and the primes are read off E.
+* R[i], the residuals (i : a) over a not <= i. Since top*a = a,
+  (i : a) = top exactly when a <= i; so R[i] is column i of the residual
+  table without top.
+
 ``product`` builds A x B from two validated factors componentwise, its
 residual table and J(L) included. It validates nothing: every axiom is an
 equation, and an equation holds in A x B exactly when it holds in A and in
@@ -30,8 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, compress, islice
+from operator import eq, itemgetter
 from typing import Iterable
 
 from .order import FiniteLattice, PartialOrder, iter_bits, mask_of
@@ -145,6 +159,55 @@ class MultiplicativeLattice(FiniteLattice):
                 rows[a] = tuple([meet[x][y] for x, y in zip(rows[b], rows[c])])
         return tuple(rows)
 
+    # -- escape masks --------------------------------------------------------
+
+    @cached_property
+    def _escape_sets(self) -> tuple[int, ...]:
+        # F[a] = OR over q in J(L) of up[a*q] & ~up[q]: the i with a*q <= i and
+        # q not <= i. Any b not <= i has such a q below it, since b is the join
+        # of the q in J(L) below it, and a*q <= a*b: n*|J| ORs in all.
+        up = self.order.up
+        above = [(q, ~up[q]) for q in self.join_irreducibles]
+        out = []
+        for row in self.table:
+            acc = 0
+            for q, not_above_q in above:
+                acc |= up[row[q]] & not_above_q
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def _residual_movers(self) -> tuple[int, ...]:
+        # E[i] = {a : (i : a) != i}, the complement of the a whose residual row
+        # fixes i. On large lattices most residuals move i, so the fixed points
+        # are the fewer, and only they are visited in Python.
+        n = self.size
+        elements = range(n)
+        fixers = [0] * n
+        for a, row in enumerate(self._prod_below):
+            for i in compress(elements, map(eq, row, elements)):
+                fixers[i] |= 1 << a
+        full = self.full_mask
+        return tuple(full & ~f for f in fixers)
+
+    @cached_property
+    def _residual_values(self) -> tuple[int, ...]:
+        # R[i] = {(i : a) : a not <= i}: column i's values but top, which
+        # (i : a) takes exactly when a <= i.
+        not_top = ~(1 << self.top)
+        return tuple(mask_of(set(column)) & not_top for column in zip(*self._prod_below))
+
+    def residual_witness(self, i: int, skip: int) -> tuple[int, int] | None:
+        """``escape_witness(i, skip, down(i))`` in O(1): the first a outside skip with
+        (i : a) != i, and the first b below (i : a) but not below i."""
+        movers = self._residual_movers[i] & ~skip
+        if not movers:
+            return None
+        a = (movers & -movers).bit_length() - 1
+        down = self.order.down
+        bad = down[self._prod_below[a][i]] & ~down[i]
+        return a, (bad & -bad).bit_length() - 1
+
     # -- nilpotents, zero divisors, radicals --------------------------------
 
     @cached_property
@@ -197,8 +260,9 @@ class MultiplicativeLattice(FiniteLattice):
     def escape_witness(self, i: int, skip: int, keep: int) -> tuple[int, int] | None:
         """First (a, b) in index order with a*b <= i, a outside skip, b outside keep.
 
-        ``skip`` and ``keep`` are element masks. The X-element, prime and
-        primary witnesses are all this scan with different masks.
+        ``skip`` and ``keep`` are element masks. The primary witness and the
+        suite's L12 use this O(n) scan; where keep is down(i), as for the
+        X-element and prime witnesses, ``residual_witness`` gives the same pair.
         """
         below, down = self._prod_below, self.order.down
         for a in range(self.size):
@@ -214,19 +278,16 @@ class MultiplicativeLattice(FiniteLattice):
 
         Properness is not examined here; ``is_prime`` adds it.
         """
-        down_p = self.order.down[p]
-        return self.escape_witness(p, down_p, down_p)
+        return self.residual_witness(p, self.order.down[p])
 
     def is_prime(self, p: int) -> bool:
         return bool(self._prime_mask >> p & 1)
 
     @cached_property
     def _prime_mask(self) -> int:
-        out = 0
-        for p in range(self.size):
-            if p != self.top and self.prime_witness(p) is None:
-                out |= 1 << p
-        return out
+        # p is prime when no a outside down(p) has (p : a) != p.
+        down, movers = self.order.down, self._residual_movers
+        return mask_of(p for p in range(self.size) if p != self.top and movers[p] & ~down[p] == 0)
 
     def prime_elements(self) -> frozenset[int]:
         return frozenset(iter_bits(self._prime_mask))

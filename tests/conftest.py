@@ -105,6 +105,43 @@ def x_set_instances():
     yield from irreducible_generated_instances()
 
 
+def count_x_decisions(monkeypatch, deciding_module):
+    """Spy on how X-elements get decided; returns the live counts.
+
+    ``sets`` lists the members of each set passed to ``x_element_mask`` as
+    ``deciding_module`` looks it up. ``per_element`` counts calls of
+    ``x_witness`` and ``is_x_element`` (wherever classify and lemmas bind
+    them) and of ``residual_witness``. ``escape`` counts ``escape_witness``
+    calls, the O(n) scan.
+    """
+    import multlat.classify as classify
+    import multlat.lemmas as lemmas
+    from multlat.multiplicative import MultiplicativeLattice
+
+    counts = {"sets": [], "per_element": 0, "escape": 0}
+    decide = deciding_module.x_element_mask
+
+    def deciding(M, X):
+        counts["sets"].append(X.members)
+        return decide(M, X)
+
+    def spy(key, fn):
+        def counting(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counting
+
+    monkeypatch.setattr(deciding_module, "x_element_mask", deciding)
+    for module in (classify, lemmas):
+        for name in ("x_witness", "is_x_element"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy("per_element", getattr(module, name)))
+    ML = MultiplicativeLattice
+    monkeypatch.setattr(ML, "residual_witness", spy("per_element", ML.residual_witness))
+    monkeypatch.setattr(ML, "escape_witness", spy("escape", ML.escape_witness))
+    return counts
+
+
 def div_index(M, label: str) -> int:
     """Index of a labelled element, for readable assertions."""
     return M.lattice.index_of(label)

@@ -119,11 +119,12 @@ def test_suite_reports_failures_with_witnesses(z12, monkeypatch):
     # A deliberately wrong predicate must surface as rendered failures, not
     # as a silent pass (the suite checks consequences, so a lying classifier
     # contradicts them immediately).
+    # The lie is injected where the suite decides: its one mask per set.
     import multlat.lemmas as lemmas
 
-    truth = lemmas.is_x_element
+    truth = lemmas.x_element_mask
     monkeypatch.setattr(
-        lemmas, "is_x_element", lambda M, X, i: not truth(M, X, i) if i != M.top else False
+        lemmas, "x_element_mask", lambda M, X: M.full_mask & ~(1 << M.top) & ~truth(M, X)
     )
     report = lemmas.lemma_suite(z12)
     assert not report.passed
@@ -143,24 +144,19 @@ def test_suite_reports_failures_with_witnesses(z12, monkeypatch):
     ids=["zn:360", "prod:4,9", "chain:6", "kite"],
 )
 def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
-    # One pass per distinct set (k*p); L3 reads the Jacobson set's pass, L4
-    # reads the residual table and every other check reads the shared pass.
+    # One mask decision per distinct set, which every check reads (L3 the
+    # Jacobson set's); no element is decided on its own. The only O(n)
+    # escape scans left are L11's primary test and L12's, one per element.
     import multlat.lemmas as lemmas
+    from conftest import count_x_decisions
 
     M = build()
-    calls = 0
-    truth = lemmas.is_x_element
-
-    def counting(M, X, i):
-        nonlocal calls
-        calls += 1
-        return truth(M, X, i)
-
-    monkeypatch.setattr(lemmas, "is_x_element", counting)
+    counts = count_x_decisions(monkeypatch, lemmas)
     assert_suite_passes(lemmas.lemma_suite(M))
-    k = len(distinct_sets([*canonical_sets(M).values(), prime_meet_downset(M)]))
+    distinct = [X.members for X in distinct_sets(canonical_sets(M).values())]
     p = len(M.proper_elements())
-    assert calls <= k * p, (calls, k, p)
+    assert counts["sets"] == distinct, (counts["sets"], distinct)
+    assert (counts["per_element"], counts["escape"]) == (0, 2 * p), counts
 
 
 def test_join_escapes_read_the_decided_x_elements(z15, monkeypatch, capsys):

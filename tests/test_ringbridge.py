@@ -407,25 +407,20 @@ def test_cross_validate_mul_calls_stay_within_the_class_bound(moduli):
 
 @pytest.mark.parametrize("moduli", [(2310,), (28, 30)], ids=ring_id)
 def test_cross_validate_decides_each_distinct_set_once(monkeypatch, moduli):
-    # The lattice side scans each distinct canonical set once; on a ring
-    # lattice nil = jrad, so the j column reads the n column's scan.
+    # The lattice side makes one mask decision per distinct canonical set and
+    # decides no element on its own; on a ring lattice nil = jrad, so the j
+    # column reads the n column's decision.
     import multlat.classify as classify
     from multlat.classify import canonical_sets, distinct_sets
+    from conftest import count_x_decisions
 
     M, model = fresh_model(moduli)
     want = cross_validate(M, model).render()
-    calls = 0
-    real = classify.x_witness
-
-    def counting(M, X, i):
-        nonlocal calls
-        calls += 1
-        return real(M, X, i)
-
-    monkeypatch.setattr(classify, "x_witness", counting)
+    counts = count_x_decisions(monkeypatch, classify)
     assert cross_validate(M, model).render() == want
-    k = len(distinct_sets(canonical_sets(M).values()))
-    assert k == 2 and calls <= k * len(M.proper_elements()), (calls, k)
+    distinct = [X.members for X in distinct_sets(canonical_sets(M).values())]
+    assert len(distinct) == 2 and counts["sets"] == distinct, counts["sets"]
+    assert (counts["per_element"], counts["escape"]) == (0, 0), counts
 
 
 # -- the cover-built lattices against the all-pairs construction --------------------
