@@ -235,22 +235,34 @@ class MultiplicativeLattice(FiniteLattice):
     @cached_property
     def _radicals(self) -> tuple[int, ...]:
         # Two independent formulas, cross-asserted; a mismatch means the table
-        # validation is broken. The powers of x descend (x*x <= x*top = x), so
-        # some power of x is below a iff the last one is. Every prime over a lies
-        # over a minimal one, so the primes over a meet to the minimal primes' meet.
-        n = self.size
-        last = [self.big_meet(self.power_closure(x)) for x in range(n)]
-        down = self.order.down
-        primes = self._prime_mask
-        out = []
-        for a in range(n):
-            d = down[a]
-            by_powers = self.big_join(x for x in range(n) if d >> last[x] & 1)
-            by_primes = self.big_meet(p for p in iter_bits(primes) if down[p] >> a & 1)
-            if by_powers != by_primes:
-                raise RadicalMismatch(a, by_powers, by_primes)
-            out.append(by_powers)
-        return tuple(out)
+        # validation is broken. Powers: the powers of x descend
+        # (x*x <= x*top = x), so some power of x is below a iff the last one is,
+        # and squaring reaches it: s = x^j with s*s = s gives
+        # x^j >= x^(j+1) >= x^(2j) = x^j. So radical(a) is the join of the x
+        # with last[x] <= a, that is of groups[y] over the distinct last values
+        # y <= a, groups[y] joining the x with last[x] = y. Primes: the meet of
+        # the primes over a, one meet per a in down(p) for each prime p.
+        n, table = self.size, self.table
+        join, meet = self.join_table, self.meet_table
+        up, down = self.order.up, self.order.down
+        last = list(range(n))
+        while (squared := [table[s][s] for s in last]) != last:
+            last = squared
+        groups: dict[int, int] = {}
+        for x, y in enumerate(last):
+            groups[y] = join[groups.get(y, self.bottom)][x]
+        by_powers = [self.bottom] * n
+        for y, t in groups.items():
+            for a in iter_bits(up[y]):
+                by_powers[a] = join[by_powers[a]][t]
+        by_primes = [self.top] * n
+        for p in iter_bits(self._prime_mask):
+            for a in iter_bits(down[p]):
+                by_primes[a] = meet[by_primes[a]][p]
+        if by_powers != by_primes:
+            a = next(a for a in range(n) if by_powers[a] != by_primes[a])
+            raise RadicalMismatch(a, by_powers[a], by_primes[a])
+        return tuple(by_powers)
 
     def radical(self, a: int) -> int:
         return self._radicals[a]

@@ -2,7 +2,12 @@
 
 The machine form is JSON whose keys follow the dataclass field order, with
 absent witnesses and notes left out; parsing it back yields a report equal to
-the original (the dump of the parse is byte-identical).
+the original (the dump of the parse is byte-identical). ``report_to_json``
+writes the same bytes as ``json.dumps(..., indent=2)`` of the report's
+fields, from one recursive writer: with ``indent`` set, CPython's json
+module runs its pure-Python encoder, and a report repeats a few distinct
+flags over many rows, so the writer writes each distinct FlagResult once per
+depth and escapes strings with the C function ``json.dumps`` itself uses.
 Every negative flag carries either a violating pair (re-checkable against
 the definitions) or the note "improper" for the top element.
 """
@@ -124,29 +129,59 @@ def _flag(M: MultiplicativeLattice, improper: bool, witness) -> FlagResult:
 
 # -- machine form ---------------------------------------------------------------
 
+_escape = json.encoder.encode_basestring_ascii
 
-def _plain(obj):
-    """``obj`` with each report dataclass made a dict of its fields that are not None.
 
-    Only FlagResult.witness and FlagResult.note are ever None. Strings and
-    tuples of strings are handed to ``json`` as they are, not copied.
+def report_to_json(report: ClassificationReport) -> str:
+    return _write(report, "\n", {})
+
+
+def _write(obj, nl: str, memo: dict) -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` writes it, ``nl`` being its line break.
+
+    A dataclass is an object of its fields that are not None, in field order
+    (only FlagResult.witness and FlagResult.note are ever None), and a tuple
+    is a list; the tuples of a report hold strings or dataclasses, never
+    both. A FlagResult is written once per distinct value and depth.
     """
+    if isinstance(obj, FlagResult):
+        key = (obj, nl)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _write_fields(obj, nl, memo)
+        return out
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if is_dataclass(obj):
-        return {f.name: _plain(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+        return _write_fields(obj, nl, memo)
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, tuple) and obj and is_dataclass(obj[0]):
-        return [_plain(v) for v in obj]
-    return obj
+        return _write_object(obj.items(), nl, memo)
+    if not obj:
+        return "[]"
+    inner = nl + "  "
+    items = map(_escape, obj) if isinstance(obj[0], str) else [_write(v, inner, memo) for v in obj]
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
+
+
+def _write_fields(obj, nl: str, memo: dict) -> str:
+    return _write_object(
+        [(f.name, v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None], nl, memo
+    )
+
+
+def _write_object(items, nl: str, memo: dict) -> str:
+    if not items:
+        return "{}"
+    inner = nl + "  "
+    members = [f"{_escape(k)}: {_write(v, inner, memo)}" for k, v in items]
+    return f"{{{inner}{(',' + inner).join(members)}{nl}}}"
 
 
 def _tuples(d: dict) -> dict:
     """``d`` with its list values turned back into the tuples a report holds."""
     return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-
-
-def report_to_json(report: ClassificationReport) -> str:
-    return json.dumps(_plain(report), indent=2)
 
 
 def report_from_json(text: str) -> ClassificationReport:

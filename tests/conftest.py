@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,24 @@ def first_axiom_violation(lattice, rows):
             if not lattice.leq(rows[a][b], lattice.meet(a, b)):
                 return "product-below-meet", (a, b)
     return None
+
+
+def json_oracle(report) -> str:
+    """``json.dumps(..., indent=2)`` of the report made plain: the slow
+    reference that ``report_to_json`` must match byte for byte."""
+    return json.dumps(_plain(report), indent=2)
+
+
+def _plain(obj):
+    """``obj`` with each report dataclass made a dict of its fields that are not None.
+
+    Only FlagResult.witness and FlagResult.note are ever None. Strings and
+    tuples of strings are handed to ``json`` as they are, not copied.
+    """
+    if is_dataclass(obj):
+        return {f.name: _plain(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and obj and is_dataclass(obj[0]):
+        return [_plain(v) for v in obj]
+    return obj

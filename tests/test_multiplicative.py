@@ -17,6 +17,7 @@ from multlat import (
     DegenerateLattice,
     FiniteLattice,
     MultiplicativeLattice,
+    RadicalMismatch,
     TopJoinReducible,
     attach_multiplication,
     build_order,
@@ -32,7 +33,7 @@ from multlat import (
     validate_lattice,
 )
 from multlat import multiplicative
-from multlat.order import iter_bits
+from multlat.order import iter_bits, mask_of
 from conftest import (
     LATTICE_DIR,
     brute_force_axioms_hold,
@@ -42,6 +43,7 @@ from conftest import (
     m3_plus_top,
     n5_plus_top,
     tables_from_irreducibles,
+    x_set_instances,
 )
 
 
@@ -331,12 +333,44 @@ def test_radical_fixed_points_and_monotone(z12, kite):
             assert M.radical(r) == r
 
 
+def _literal_radicals(M, primes):
+    """Per a: the join of the x with big_meet(power_closure(x)) <= a, and the
+    meet of the given primes over a."""
+    last = [M.big_meet(M.power_closure(x)) for x in range(M.size)]
+    by_powers = [M.big_join(x for x in range(M.size) if M.leq(last[x], a)) for a in range(M.size)]
+    by_primes = [M.big_meet(p for p in primes if M.leq(a, p)) for a in range(M.size)]
+    return by_powers, by_primes
+
+
+def test_radicals_match_the_literal_definitions():
+    # The primes come from _prime_mask, which tests/test_escape_masks.py
+    # checks against the per-element scan; the power side reads only the table.
+    large = (product(n5_plus_top(), ideal_lattice_zn(5040)[0], "N5+top x zn:5040"),
+             ideal_lattice_product(720, 720)[0])
+    for M in itertools.chain(x_set_instances(), large):
+        by_powers, by_primes = _literal_radicals(M, M.prime_elements())
+        assert list(M._radicals) == by_powers == by_primes, M.name
+
+
+def test_radical_mismatch_names_the_first_disagreement():
+    # A prime mask that lacks the prime (3), seeded before _radicals is read,
+    # makes the prime formula disagree with the powers at several a; the
+    # error names the first of them in index order.
+    M = ideal_lattice_zn(72)[0]
+    fresh = attach_multiplication(M, M.table, M.name)
+    seeded = [p for p in M.prime_elements() if p != div_index(M, "(3)")]
+    vars(fresh)["_prime_mask"] = mask_of(seeded)
+    by_powers, by_primes = _literal_radicals(fresh, seeded)
+    disagree = [a for a in range(M.size) if by_powers[a] != by_primes[a]]
+    assert len(disagree) > 1 and disagree[0] > 0
+    with pytest.raises(RadicalMismatch) as exc:
+        fresh.radical(M.top)
+    assert exc.value.element == disagree[0]
+
+
 def test_nil_mask_matches_the_power_walk():
     # The nilpotents as the down-set of radical(bottom), against the walk
     # over each element's powers.
-    from multlat.order import mask_of
-    from conftest import x_set_instances
-
     for M in x_set_instances():
         walk = mask_of(a for a in range(M.size) if M.bottom in M.power_closure(a))
         assert M._nil_mask == walk, M.name
