@@ -104,7 +104,9 @@ def downset_m_closed(M: MultiplicativeLattice, j: int, name: str | None = None) 
 
 
 def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet:
-    """Z(L); M-closed without a scan: a*x = bottom, x != bottom give (a*b)*x = b*(a*x) = bottom."""
+    """Z(L), the a with a*x = bottom for some x != bottom; read off the escape
+    masks F, with no residual table. M-closed without a scan: a*x = bottom,
+    x != bottom give (a*b)*x = b*(a*x) = bottom."""
     if M.size == 1:
         raise DegenerateLattice("zero-divisor set needs a proper element")
     return MClosedSet(M.zero_divisors(), name)

@@ -9,24 +9,29 @@ are checked on the join-irreducibles J(L), which every element is the join
 of: distribution over L x J(L) and associativity over J(L)^3. A table they
 reject is scanned again over all tuples, which names the first violation.
 A table that survives becomes a :class:`MultiplicativeLattice`: a
-:class:`FiniteLattice` with the table and a name added, which precomputes
-the data the classification sweeps lean on: radicals (by two independent
-formulas, cross-asserted), prime/maximal element sets, and the residual
-table. That table holds (i : a) for every i and a. Its rows for bottom and
-J(L) are computed directly, and every other row is the elementwise meet of
-two earlier rows by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2)
-lookups in all.
+:class:`FiniteLattice` with the table and a name added (J(L) carried over
+from the checks), which computes on first use the data the classification
+sweeps lean on: radicals (by two independent formulas, cross-asserted),
+prime/maximal element sets, the zero divisors, and the residual table. That
+table holds (i : a) for every i and a. Its rows for bottom and J(L) are
+computed directly, and every other row is the elementwise meet of two
+earlier rows by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2) lookups
+in all.
 
 Three escape masks, each built once, answer every X-element question. An
 element a *escapes* at i when a*b <= i for some b not <= i.
 
 * F[a], the i at which a escapes, read off the table alone: b may be taken
   in J(L), as some q in J(L) below b is not <= i either and a*q <= a*b.
-  The X-elements of X are the proper elements outside the F[a], a not in X.
+  The X-elements of X are the proper elements outside the F[a], a not in
+  X. The primes and the zero divisors come from F as well (a proper p is
+  prime when no q in J(L) outside down(p) escapes at p; x is a zero divisor
+  when it escapes at bottom), so deciding the r-, n- and J-elements never
+  builds the residual table.
 * E[i], the a with (i : a) != i. Since i*a <= i, i <= (i : a); so a
   escapes at i exactly when (i : a) != i, and the first b is the first
   element below (i : a) but not below i. The X-element and prime witnesses
-  and the primes are read off E.
+  are read off E.
 * R[i], the residuals (i : a) over a not <= i. Since top*a = a,
   (i : a) = top exactly when a <= i; so R[i] is column i of the residual
   table without top.
@@ -225,9 +230,10 @@ class MultiplicativeLattice(FiniteLattice):
 
     @cached_property
     def _zdiv_mask(self) -> int:
-        # x is a zero divisor exactly when its annihilator (bottom : x) is not bottom.
+        # x is a zero divisor exactly when x*b = bottom for some b != bottom, so
+        # exactly when x*q = bottom for some q in J(L) below b: bit bottom of F[x].
         bottom = self.bottom
-        return mask_of(x for x, row in enumerate(self._prod_below) if row[bottom] != bottom)
+        return mask_of(x for x, escapes in enumerate(self._escape_sets) if escapes >> bottom & 1)
 
     def zero_divisors(self) -> frozenset[int]:
         return frozenset(iter_bits(self._zdiv_mask))
@@ -297,9 +303,15 @@ class MultiplicativeLattice(FiniteLattice):
 
     @cached_property
     def _prime_mask(self) -> int:
-        # p is prime when no a outside down(p) has (p : a) != p.
-        down, movers = self.order.down, self._residual_movers
-        return mask_of(p for p in range(self.size) if p != self.top and movers[p] & ~down[p] == 0)
+        # A proper p is not prime exactly when q1*q2 <= p for some q1 and q2 in
+        # J(L), neither below p: an a not <= p has such a q below it, and the
+        # product is monotone. F[q1] & ~up[q1] holds those p for one q1, so
+        # |J| ORs of F decide every element.
+        up, escapes = self.order.up, self._escape_sets
+        not_prime = 1 << self.top
+        for q in self.join_irreducibles:
+            not_prime |= escapes[q] & ~up[q]
+        return self.full_mask & ~not_prime
 
     def prime_elements(self) -> frozenset[int]:
         return frozenset(iter_bits(self._prime_mask))
@@ -326,7 +338,10 @@ class MultiplicativeLattice(FiniteLattice):
     def _max_mask(self) -> int:
         if self.size == 1:
             raise DegenerateLattice("one-element lattice has no maximal elements")
-        out = mask_of(m for m in range(self.size) if self.is_maximal(m))
+        # m is maximal exactly when up(m) is {m, top}; top itself, whose up-set
+        # is {top}, fails the test.
+        top = 1 << self.top
+        out = mask_of(m for m, above in enumerate(self.order.up) if above ^ 1 << m == top)
         # Maximal elements of a finite multiplicative lattice are prime.
         assert out & ~self._prime_mask == 0, "maximal element failed primeness"
         return out
@@ -411,7 +426,10 @@ def attach_multiplication(
         _full_axiom_scan(lattice, rows)
         raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
     base = {f.name: getattr(lattice, f.name) for f in fields(FiniteLattice)}
-    return MultiplicativeLattice(**base, table=rows, name=name)
+    M = MultiplicativeLattice(**base, table=rows, name=name)
+    # Filled where cached_property would store it, so J(L) is scanned once.
+    vars(M)["join_irreducibles"] = irreducibles
+    return M
 
 
 def _distributes_over_irreducibles(

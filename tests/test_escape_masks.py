@@ -1,9 +1,12 @@
 """The three escape masks against the literal definitions they shortcut.
 
-F (``_escape_sets``) decides the X-elements from the table over J(L), E
-(``_residual_movers``) gives the witnesses, the primes and L14, and R
-(``_residual_values``) gives L7. Each is compared here with a scan that
-uses none of the shortcuts.
+F (``_escape_sets``) decides the X-elements, the primes and the zero
+divisors from the table over J(L), E (``_residual_movers``) gives the
+witnesses and L14, and R (``_residual_values``) gives L7. Each is compared
+here with a scan that uses none of the shortcuts, and the sets F decides
+with the residual-table forms they replaced. Deciding the r-, n- and
+J-elements reads F only, so ``search`` and ``cross_validate`` never build
+the residual table.
 """
 
 import pytest
@@ -13,16 +16,20 @@ from hypothesis import strategies as st
 from multlat import (
     acceptance_corpus,
     canonical_sets,
+    chain_lattice,
     complement_characterization,
+    cross_validate,
     downset_m_closed,
     ideal_lattice_zn,
     product,
     residual_characterization,
+    search_corpus,
     x_element_mask,
     x_elements,
     x_witness,
 )
 from multlat.order import mask_of
+from multlat.search import PROPERTIES
 from conftest import m3_plus_top, n5_plus_top, x_set_instances
 
 
@@ -89,6 +96,60 @@ def test_prime_mask_matches_the_per_element_scan(corpus):
         assert [M.prime_witness(p) for p in range(M.size)] == scanned, M.name
         want = mask_of(p for p, w in enumerate(scanned) if p != M.top and w is None)
         assert M._prime_mask == want, M.name
+
+
+def not_prime_over_every_pair(M):
+    """The p with a*b <= p for some a and b, neither below p, over all pairs."""
+    up = M.order.up
+    out = 0
+    for a, row in enumerate(M.table):
+        for b, ab in enumerate(row):
+            out |= up[ab] & ~up[a] & ~up[b]
+    return out
+
+
+def test_prime_mask_matches_the_residual_table_and_the_definition(corpus):
+    # _prime_mask reads F over J(L) only; the E form reads the residual table,
+    # and the all-pairs form the table and the order.
+    for M in corpus:
+        down, movers = M.order.down, M._residual_movers
+        by_movers = mask_of(p for p in range(M.size) if p != M.top and movers[p] & ~down[p] == 0)
+        by_pairs = M.full_mask & ~(1 << M.top) & ~not_prime_over_every_pair(M)
+        assert M._prime_mask == by_movers == by_pairs, M.name
+
+
+def test_zdiv_mask_matches_the_annihilators_and_the_definition(corpus):
+    # _zdiv_mask reads bit bottom of F; the annihilator form reads the residual
+    # table, and the literal form every product.
+    for M in corpus:
+        bottom = M.bottom
+        by_annihilator = mask_of(x for x in range(M.size) if M.annihilator(x) != bottom)
+        by_products = mask_of(
+            x for x, row in enumerate(M.table)
+            if any(ab == bottom for b, ab in enumerate(row) if b != bottom)
+        )
+        assert M._zdiv_mask == by_annihilator == by_products, M.name
+
+
+def test_max_mask_matches_the_per_element_scan(corpus):
+    for M in corpus:
+        assert M._max_mask == mask_of(m for m in range(M.size) if M.is_maximal(m)), M.name
+
+
+def test_search_and_cross_validate_never_build_the_residual_table():
+    # Freshly built zn lattices and meet chains, so no other test has read
+    # their residual tables. Products are left out: ``product`` fills
+    # _prod_below from its factors when it builds them.
+    lattices = [ideal_lattice_zn.__wrapped__(n)[0] for n in range(2, 301)]
+    lattices += [chain_lattice.__wrapped__(n, "meet") for n in range(2, 9)]
+    hits = {name: search_corpus(lattices, name) for name in PROPERTIES}
+    assert hits["x-exists-iff-min-prime-unique"] and hits["n-strictly-inside-j"]
+    ring_side = [ideal_lattice_zn.__wrapped__(n) for n in range(2, 101)]
+    for M, model in ring_side:
+        cross_validate(M, model)
+    for M in lattices + [M for M, _ in ring_side]:
+        assert "_escape_sets" in vars(M), M.name
+        assert "_prod_below" not in vars(M) and "_residual_movers" not in vars(M), M.name
 
 
 def test_witnesses_match_the_per_element_scan(corpus):

@@ -113,6 +113,17 @@ def test_multiplicative_lattice_is_a_finite_lattice():
     assert (again.order, again.labels, again.table) == (trivial.order, trivial.labels, trivial.table)
 
 
+def test_attach_multiplication_carries_the_irreducibles_over():
+    # The axiom checks scan J(L) on the lattice; the result keeps that scan
+    # instead of computing it again, and a fresh scan of the result agrees.
+    singleton = trivial_mult(lattice_from_pairs(1, []))
+    for M in (singleton, kite_lattice.__wrapped__(), m3_plus_top(), n5_plus_top(),
+              chain_lattice.__wrapped__(7, "meet"), ideal_lattice_zn.__wrapped__(720)[0],
+              *itertools.islice(irreducible_generated_instances(), 20)):
+        assert "join_irreducibles" in vars(M), M.name
+        assert M.join_irreducibles == FiniteLattice.join_irreducibles.func(M), M.name
+
+
 def test_bad_entry_rejected(z12):
     rows = [list(r) for r in z12.table]
     rows[0][0] = 99
@@ -343,8 +354,10 @@ def _literal_radicals(M, primes):
 
 
 def test_radicals_match_the_literal_definitions():
-    # The primes come from _prime_mask, which tests/test_escape_masks.py
-    # checks against the per-element scan; the power side reads only the table.
+    # The primes come from _prime_mask, decided over J(L) from the escape masks
+    # F; tests/test_escape_masks.py checks it against the per-element scan, the
+    # residual-table form and the all-pairs definition. The power side reads
+    # only the table.
     large = (product(n5_plus_top(), ideal_lattice_zn(5040)[0], "N5+top x zn:5040"),
              ideal_lattice_product(720, 720)[0])
     for M in itertools.chain(x_set_instances(), large):
