@@ -119,11 +119,17 @@ def _canonical_flags(M: MultiplicativeLattice) -> dict[str, MClosedSet]:
     return {f"{letter}-element": X for letter, X in canonical_sets(M).items()}
 
 
+# FlagResult is frozen, so every passing flag and every flag of top can be
+# one shared instance; the JSON writer's memo then meets the same object.
+_HOLDS = FlagResult(True)
+_IMPROPER = FlagResult(False, None, "improper")
+
+
 def _flag(M: MultiplicativeLattice, improper: bool, witness) -> FlagResult:
     if improper:
-        return FlagResult(False, None, "improper")
+        return _IMPROPER
     if witness is None:
-        return FlagResult(True)
+        return _HOLDS
     return FlagResult(False, tuple(M.label(w) for w in witness))
 
 

@@ -2,8 +2,12 @@
 
 The lattice side encodes ideals of Z_n by the divisors of n: containment is
 reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
-is gcd(d1*d2, n). Each Z_n lattice is built from its covers, (d) above (d*p)
-for each prime p, and validated by ``attach_multiplication``. Since
+is gcd(d1*d2, n). These tables depend only on the exponent vectors of the
+divisors, so n's lattice is the lattice of its *shape* (n's ascending
+divisors with its i-th prime renamed to the i-th prime; the proof is in
+``ideal_lattice_zn``), relabelled. Each shape is built once from its covers,
+(d) above (d*p) for each prime p, and validated by ``attach_multiplication``;
+zn:2..1000 has 131 shapes. Since
 Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
 ``multiplicative.product`` of the two, built componentwise with nothing
 validated again. The ring side never touches that encoding: it works on
@@ -42,7 +46,7 @@ CrossValidationMismatch on any disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
@@ -202,31 +206,97 @@ class ProductRingModel(_RingSets):
         return [i for i, p in enumerate(self.pairs) if p != (1, 1)]
 
 
-# Lattices each builder keeps (with their models' ring sets): enough for
-# zn:2..200 and the 36 stock products, while a long search stays bounded.
+# Lattices each builder keeps (with their models' ring sets), and divisor
+# shapes ``_shape_lattice`` keeps: enough for zn:2..200 and the 36 stock
+# products, while a long search stays bounded.
 _LATTICE_CACHE_SIZE = 256
+
+
+def _primes_of(divs: tuple[int, ...]) -> list[int]:
+    """The divisors above 1 with no smaller prime divisor, in ``divs`` order.
+
+    ``divs`` lists every divisor after its own divisors, so a composite d
+    meets a prime factor of it first.
+    """
+    primes: list[int] = []
+    for d in divs[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    return primes
+
+
+def _shape(divs: tuple[int, ...]) -> tuple[int, ...]:
+    """n's ascending divisors with the i-th prime of n renamed to the i-th prime.
+
+    A d > 1 that a prime p of n met so far divides is d' * p with
+    d' = d // p earlier, so renamed(d) = renamed(d') * renamed(p). Any other
+    d is the next prime of n. It is renamed to the least q above the last
+    renamed prime that no renamed prime divides; those are all the primes
+    below q, so q is the next prime.
+    """
+    renamed = {1: 1}
+    primes: list[tuple[int, int]] = []  # (p, renamed(p))
+    q = 1
+    for d in divs[1:]:
+        for p, r in primes:
+            if d % p == 0:
+                renamed[d] = renamed[d // p] * r
+                break
+        else:
+            q += 1
+            while not all(q % r for _, r in primes):
+                q += 1
+            primes.append((d, q))
+            renamed[d] = q
+    return tuple(map(renamed.__getitem__, divs))
+
+
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
+    """The validated lattice indexed by ``shape``, the divisors of shape[-1].
+
+    (d) covers (d*p) for each prime p. Labels and name are placeholders,
+    which ``ideal_lattice_zn`` replaces.
+    """
+    modulus = shape[-1]
+    index = {d: i for i, d in enumerate(shape)}
+    primes = _primes_of(shape)
+    covers = [(index[d * p], i) for i, d in enumerate(shape) for p in primes if modulus % (d * p) == 0]
+    table = [[index[gcd(d * e, modulus)] for e in shape] for d in shape]
+    lattice = validate_lattice(build_order(len(shape), covers))
+    return attach_multiplication(lattice, table, name=f"zn:{modulus}")
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     """The ideal lattice of Z_n as a validated multiplicative lattice.
 
-    (d) covers (d*p) for each prime p; the primes are the divisors above 1
-    with no smaller prime divisor.
+    It is the lattice of n's *shape*, relabelled. Let n = p_1^k_1 * ... *
+    p_r^k_r with p_1 < ... < p_r, and rename each divisor
+    d = p_1^a_1 * ... * p_r^a_r to renamed(d) = P_1^a_1 * ... * P_r^a_r,
+    P_i the i-th prime. The shape is the tuple of renamed divisors in n's
+    ascending divisor order. Renaming is a bijection from the divisors of n
+    to those of renamed(n) that keeps each exponent vector (a_1, ..., a_r),
+    and everything the builder reads is a function of those vectors: for
+    d' with exponents b_i, d | d' is a_i <= b_i for each i, gcd(d, d') and
+    lcm(d, d') have exponents min(a_i, b_i) and max(a_i, b_i), and
+    gcd(d*d', n) has exponents min(a_i + b_i, k_i). So renaming preserves
+    divisibility, gcd, lcm and gcd(d*d', n), and the covers, order masks,
+    meet, join and multiplication tables built from the shape equal those
+    of n index for index, bottom (0) and top (1) included; only the labels
+    and the name differ. Moduli of one shape (6 and 10, 12 and 45) share
+    one lattice, built and validated once by ``_shape_lattice``, and their
+    instances share its tables. The caches derived on first use (residual
+    table, escape masks, radicals) stay per instance.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     divs = divisors(n)
     model = ZnIdealModel(n, divs)
-    index = {d: i for i, d in enumerate(divs)}
-    primes: list[int] = []
-    for d in divs[1:]:
-        if all(d % p for p in primes):
-            primes.append(d)
-    covers = [(index[d * p], i) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
-    table = [[index[gcd(d * e, n)] for e in divs] for d in divs]
-    lattice = validate_lattice(build_order(len(divs), covers), model.labels())
-    M = attach_multiplication(lattice, table, name=f"zn:{n}")
+    template = _shape_lattice(_shape(divs))
+    M = replace(template, labels=model.labels(), name=f"zn:{n}")
+    # Filled where cached_property would store it, so J(L) is scanned once per shape.
+    vars(M)["join_irreducibles"] = template.join_irreducibles
     return M, model
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from math import gcd
+
 from multlat import (
     AxiomViolation,
     acceptance_corpus,
@@ -18,6 +20,8 @@ from multlat import (
     load_path,
     trivial_mult,
 )
+from multlat.order import build_order, validate_lattice
+from multlat.ringbridge import divisors
 
 LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
 
@@ -142,6 +146,26 @@ def count_x_decisions(monkeypatch, deciding_module):
     monkeypatch.setattr(ML, "residual_witness", spy("per_element", ML.residual_witness))
     monkeypatch.setattr(ML, "escape_witness", spy("escape", ML.escape_witness))
     return counts
+
+
+def zn_lattice_oracle(n):
+    """Id(Z_n) built and validated on n's own divisors, with no shape sharing.
+
+    The per-modulus reference for ``ideal_lattice_zn``: the covers (d*p, d)
+    over n's primes, then ``build_order``, ``validate_lattice`` and
+    ``attach_multiplication`` on n's gcd table.
+    """
+    divs = divisors(n)
+    index = {d: i for i, d in enumerate(divs)}
+    primes = []
+    for d in divs[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    covers = [(index[d * p], i) for i, d in enumerate(divs) for p in primes if n % (d * p) == 0]
+    table = [[index[gcd(d * e, n)] for e in divs] for d in divs]
+    labels = ["(0)" if d == n else f"({d})" for d in divs]
+    lattice = validate_lattice(build_order(len(divs), covers), labels)
+    return attach_multiplication(lattice, table, name=f"zn:{n}")
 
 
 def div_index(M, label: str) -> int:

@@ -6,8 +6,12 @@ witnesses and L14, and R (``_residual_values``) gives L7. Each is compared
 here with a scan that uses none of the shortcuts, and the sets F decides
 with the residual-table forms they replaced. Deciding the r-, n- and
 J-elements reads F only, so ``search`` and ``cross_validate`` never build
-the residual table.
+the residual table. L5 and L13, which test whole rows at once, are compared
+with their literal pair scans, witnesses included.
 """
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,8 @@ from multlat import (
     x_elements,
     x_witness,
 )
+from multlat.classify import distinct_sets
+from multlat.lemmas import CheckResult, _check_l5, _check_l13, _lbl
 from multlat.order import mask_of
 from multlat.search import PROPERTIES
 from conftest import m3_plus_top, n5_plus_top, x_set_instances
@@ -172,3 +178,64 @@ def test_x_elements_match_both_characterizations_on_every_principal_downset(n):
         for i in M.proper_elements():
             assert (i in xels) == residual_characterization(M, X, i), (n, j, i)
             assert (i in xels) == complement_characterization(M, X, i), (n, j, i)
+
+
+# -- L5 and L13: whole-row tests against the literal pair scans -------------------
+
+
+def literal_l5(M, X, xels):
+    for i1, i2 in itertools.combinations_with_replacement(sorted(xels), 2):
+        if M.meet(i1, i2) not in xels:
+            return CheckResult(
+                "L5", X.name, False,
+                f"meet of X-elements {_lbl(M, i1, i2)} is {M.label(M.meet(i1, i2))}, not an X-element",
+            )
+    return CheckResult("L5", X.name, True)
+
+
+def literal_l13(M, X, xels):
+    members = sorted(xels)
+    for k in (k for k in range(M.size) if k not in X):
+        row = M.table[k]
+        for i1, i2 in itertools.combinations(members, 2):
+            if row[i1] == row[i2]:
+                return CheckResult(
+                    "L13", X.name, False,
+                    f"X-elements {_lbl(M, i1, i2)} collapse under multiplication "
+                    f"by {M.label(k)} outside X",
+                )
+        for i in range(M.size):
+            if row[i] in xels and row[i] != i:
+                return CheckResult(
+                    "L13", X.name, False,
+                    f"{M.label(i)}*{M.label(k)} = {M.label(row[i])} is an X-element "
+                    f"differing from {M.label(i)}",
+                )
+    return CheckResult("L13", X.name, True)
+
+
+def candidate_x_elements(M, X, rng):
+    """The true X-elements, and three sets near or far from them, to reach the witnesses."""
+    xels = x_elements(M, X)
+    proper = M.proper_elements()
+    yield xels
+    yield xels | {rng.choice(proper)}
+    if xels:
+        yield xels - {rng.choice(sorted(xels))}
+    yield frozenset(rng.sample(proper, len(proper) // 2))
+
+
+def test_l5_and_l13_match_the_literal_pair_scans(corpus):
+    rng = random.Random(5)
+    failed = set()  # (check, whether two X-elements collapsed) per failure seen
+    for M in corpus:
+        for X in distinct_sets(canonical_sets(M).values()):
+            for xels in candidate_x_elements(M, X, rng):
+                for check, literal in ((_check_l5, literal_l5), (_check_l13, literal_l13)):
+                    got = check(M, X, xels)
+                    assert got == literal(M, X, xels), (M.name, X.name, sorted(xels))
+                    if not got.passed:
+                        failed.add((got.check, "collapse" in got.witness))
+    # Both checks fail on some sets, L13 in both of its halves, so the
+    # fallback scans name witnesses here.
+    assert failed == {("L5", False), ("L13", True), ("L13", False)}

@@ -353,8 +353,10 @@ def test_build_order_cycle_witnesses_are_pinned():
 def test_acyclic_builds_never_fall_back_to_warshall(monkeypatch, lattice_dir):
     # The corpus, the meet chains and the shipped spec files are all
     # acyclic, so each is closed in one topological pass. The lru_caches
-    # are bypassed so that every instance is built here. A product closes
-    # no order of its own: its two factors are built, one pass each.
+    # are bypassed, and the shape cache emptied, so that every instance is
+    # built here. A Z_n lattice closes the order of its divisor shape, one
+    # pass per distinct shape, and a product closes no order of its own:
+    # its two factors are built, and their shapes are among zn:2..200's.
     def no_fallback(size, pairs):
         raise AssertionError(f"Warshall fallback on an acyclic input of size {size}")
 
@@ -373,10 +375,13 @@ def test_acyclic_builds_never_fall_back_to_warshall(monkeypatch, lattice_dir):
     monkeypatch.setattr(corpus, "ideal_lattice_product", ringbridge.ideal_lattice_product.__wrapped__)
     monkeypatch.setattr(corpus, "chain_lattice", corpus.chain_lattice.__wrapped__)
     monkeypatch.setattr(corpus, "kite_lattice", corpus.kite_lattice.__wrapped__)
+    ringbridge._shape_lattice.cache_clear()
     built = sum(1 for _ in acceptance_corpus(200))
     built += sum(1 for n in range(1, 9) if corpus.chain_lattice(n, "meet"))
     paths = sorted(lattice_dir.glob("*.lat"))
     for path in paths:
         load_path(path)
     assert built == 199 + 36 + 7 + 1 + 8 and paths
-    assert len(builds) == built - 36 + 2 * 36 + len(paths)
+    shapes = {ringbridge._shape(ringbridge.divisors(n)) for n in range(2, 201)}
+    assert {ringbridge._shape(ringbridge.divisors(m)) for m in corpus.PRODUCT_MODULI} <= shapes
+    assert len(builds) == len(shapes) + 7 + 1 + 8 + len(paths)

@@ -14,12 +14,13 @@ from multlat import (
     canonical_sets,
     classify_lattice,
     downset_m_closed,
+    ideal_lattice_product,
     load_path,
     loads,
     report_from_json,
     report_to_json,
 )
-from multlat.report import FlagResult
+from multlat.report import _HOLDS, _IMPROPER, FlagResult
 from conftest import LATTICE_DIR, json_oracle, m3_plus_top, n5_plus_top
 
 # A diamond under a two-element chain, with a name, labels and set names
@@ -112,3 +113,15 @@ def test_empty_xsets_are_an_empty_object():
     text = report_to_json(report)
     assert '\n  "xsets": {},\n' in text
     assert text == json_oracle(report)
+
+
+
+def test_pass_and_improper_flags_are_shared():
+    # Every passing flag and every flag of top is one of two shared
+    # instances; only the failures carry a witness of their own.
+    M = ideal_lattice_product(8, 9)[0]
+    report = classify_lattice(M)
+    flags = [f for row in report.rows for f in row.flags.values()]
+    assert all(f is _HOLDS for f in flags if f.holds) and any(f.holds for f in flags)
+    assert all(f is _IMPROPER for f in report.rows[M.top].flags.values())
+    assert all(f.witness for f in flags if f is not _HOLDS and f is not _IMPROPER)

@@ -37,6 +37,9 @@ from multlat.ringbridge import (
     ring_nilpotents,
     ring_zero_divisors,
 )
+from multlat.corpus import parse_corpus_spec
+from multlat.search import search_corpus
+from conftest import zn_lattice_oracle
 
 
 def subset_ideal(n, d):
@@ -485,6 +488,7 @@ def test_large_products_match_the_all_pairs_construction(moduli):
 @pytest.mark.parametrize("moduli", [(n,) for n in (2, 12, 30, 64, 360, 720720)], ids=ring_id)
 def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
     # k * omega(n) pairs for Z_n: each Hasse edge once, and nothing else.
+    # The shape cache is bypassed, so n's shape is built here.
     seen = []
 
     def recording(size, pairs):
@@ -492,6 +496,7 @@ def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
         return build_order(size, seen[-1])
 
     monkeypatch.setattr(ringbridge, "build_order", recording)
+    monkeypatch.setattr(ringbridge, "_shape_lattice", ringbridge._shape_lattice.__wrapped__)
     M = ideal_lattice_zn.__wrapped__(*moduli)[0]
     (pairs,) = seen
     assert sorted(pairs) == sorted(M.covers()), moduli
@@ -500,9 +505,10 @@ def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
 @pytest.mark.parametrize("moduli", [(4, 9), (25, 8), (28, 30), (72, 72)], ids=ring_id)
 def test_products_validate_only_their_factors(monkeypatch, moduli):
     # A product is built from its two factor lattices and validates nothing
-    # itself, nor computes its residual table; each factor goes through
-    # build_order, validate_lattice and attach_multiplication once, on the
-    # factor's size.
+    # itself, nor computes its residual table; each distinct divisor shape
+    # of the factors goes through build_order, validate_lattice and
+    # attach_multiplication once, on the factor's size (4 and 9 share one
+    # shape, and so do 72 and 72).
     from multlat import multiplicative, order
 
     for m in moduli:
@@ -531,9 +537,74 @@ def test_products_validate_only_their_factors(monkeypatch, moduli):
     for name in ("build_order", "validate_lattice", "attach_multiplication"):
         monkeypatch.setattr(ringbridge, name, recording(name, getattr(ringbridge, name)))
     sizes = [len(divisors(m)) for m in moduli]
+    shapes = {ringbridge._shape(divisors(m)) for m in moduli}
     monkeypatch.setattr(ringbridge, "ideal_lattice_zn", ideal_lattice_zn.__wrapped__)
+    ringbridge._shape_lattice.cache_clear()
     M = ideal_lattice_product.__wrapped__(*moduli)[0]
     assert sorted(calls) == sorted(
-        (name, k) for k in sizes for name in ("build_order", "validate_lattice", "attach_multiplication")
+        (name, len(shape)) for shape in shapes
+        for name in ("build_order", "validate_lattice", "attach_multiplication")
     )
+    assert len(shapes) == (1 if moduli in ((4, 9), (72, 72)) else 2)
     assert M.size == sizes[0] * sizes[1]
+
+
+# -- one validated lattice per divisor shape -------------------------------------
+
+
+def assert_matches_the_per_modulus_build(n):
+    M = ideal_lattice_zn.__wrapped__(n)[0]
+    W = zn_lattice_oracle(n)
+    assert M.order == W.order, n
+    assert (M.meet_table, M.join_table, M.table) == (W.meet_table, W.join_table, W.table), n
+    assert (M.labels, M.name, M.bottom, M.top) == (W.labels, W.name, W.bottom, W.top), n
+    assert M.join_irreducibles == W.join_irreducibles, n
+    assert M._prod_below == W._prod_below, n
+    assert M._escape_sets == W._escape_sets, n
+    assert M._prime_mask == W._prime_mask, n
+    assert M._radicals == W._radicals, n
+
+
+def test_shared_shapes_match_the_per_modulus_build_up_to_2000():
+    for n in range(2, 2001):
+        assert_matches_the_per_modulus_build(n)
+
+
+@pytest.mark.parametrize("n", [55440, 720720, 510510])
+def test_large_moduli_match_the_per_modulus_build(n):
+    # 510510 = 2*3*5*7*11*13*17, seven primes renamed to themselves.
+    assert_matches_the_per_modulus_build(n)
+
+
+def test_a_fresh_search_validates_each_shape_once(monkeypatch):
+    attached = []
+    real = ringbridge.attach_multiplication
+
+    def counting(lattice, *args, **kwargs):
+        attached.append(lattice.size)
+        return real(lattice, *args, **kwargs)
+
+    monkeypatch.setattr(ringbridge, "attach_multiplication", counting)
+    ideal_lattice_zn.cache_clear()
+    ringbridge._shape_lattice.cache_clear()
+    spec = parse_corpus_spec("zn:2..1000")
+    hits = search_corpus((M for M, _ in spec), "x-exists-iff-min-prime-unique")
+    assert hits and len(attached) == 131
+
+
+def test_moduli_of_one_shape_share_the_tables_not_the_labels():
+    # Built here, one after another, so both read the shape cache's entry.
+    build = ideal_lattice_zn.__wrapped__
+    M6, M10 = build(6)[0], build(10)[0]
+    assert M6.table is M10.table and M6.meet_table is M10.meet_table
+    assert M6.order is M10.order
+    assert M6.labels == ("(1)", "(2)", "(3)", "(0)")
+    assert M10.labels == ("(1)", "(2)", "(5)", "(0)")
+    assert (M6.name, M10.name) == ("zn:6", "zn:10")
+    # 12 = 2^2*3 and 45 = 3^2*5 list their divisors in one exponent order;
+    # 20 = 2^2*5 lists 4 before 5, so its shape differs from 12's.
+    shape = ringbridge._shape
+    assert shape(divisors(12)) == shape(divisors(45)) == (1, 2, 3, 4, 6, 12)
+    assert shape(divisors(20)) == (1, 2, 4, 3, 6, 12)
+    M12, M45, M20 = build(12)[0], build(45)[0], build(20)[0]
+    assert M12.table is M45.table and M12.table is not M20.table
