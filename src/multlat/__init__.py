@@ -8,7 +8,6 @@ from .classify import (
     PreconditionViolated,
     XMultClosedSet,
     canonical_sets,
-    complement_characterization,
     downset_m_closed,
     is_j_element,
     is_n_element,
@@ -22,7 +21,6 @@ from .classify import (
     nil_downset,
     prime_meet_downset,
     principal_generator,
-    residual_characterization,
     x_element_mask,
     x_elements,
     x_mult_closed_witness,
@@ -69,7 +67,6 @@ from .ringbridge import (
     cross_validate_zn,
     ideal_lattice_product,
     ideal_lattice_zn,
-    is_prime_power,
     ring_is_j_ideal,
     ring_is_n_ideal,
     ring_is_r_ideal,

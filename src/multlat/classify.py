@@ -10,8 +10,6 @@ proof and skip the closure scan; ``make_m_closed`` scans member lists from outsi
 The predicate is read off the lattice's escape masks, each built once
 (see ``multiplicative``): ``x_element_mask`` decides a whole set with at
 most n ORs of F, and ``x_witness`` reads one pair off E in O(1).
-``residual_characterization`` and ``complement_characterization`` are the
-slow per-element forms, kept as oracles for the tests.
 
 All functions are pure; negative answers come with the first violating pair
 in element-index order.
@@ -125,10 +123,10 @@ def jacobson_downset(M: MultiplicativeLattice, name: str = "jrad") -> MClosedSet
 
 
 def prime_meet_downset(M: MultiplicativeLattice, name: str = "pmeet") -> MClosedSet:
-    """Down-set of the meet of all prime elements."""
+    """Down-set of the meet of all primes: radical(bottom), as ``_radicals`` asserts."""
     if M.size == 1:
         raise DegenerateLattice("prime-meet down-set needs a proper element")
-    return downset_m_closed(M, M.big_meet(M.prime_elements()), name)
+    return downset_m_closed(M, M.radical(M.bottom), name)
 
 
 CANONICAL_SETS = {"r": zero_divisor_set, "n": nil_downset, "j": jacobson_downset}
@@ -202,24 +200,13 @@ def join_escape(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[int, in
 
 
 def prime_meet_facts(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[int, bool, bool, bool]:
-    """The meet j of all primes, and three facts that must agree about it.
+    """The meet j of all primes (radical(bottom)), and three facts that must agree about it.
 
     ``xels`` are the X-elements of the down-set of j. Returns (j, X-elements
     exist for that down-set, j is prime, the minimal prime is unique).
     """
-    j = M.big_meet(M.prime_elements())
+    j = M.radical(M.bottom)
     return j, bool(xels), M.is_prime(j), len(M.min_primes()) == 1
-
-
-def residual_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
-    """i proper and (i : a) = i for every a outside X.
-
-    Agrees with ``is_x_element`` on every input of a finite lattice. A slow
-    oracle for the tests: no check of the suite calls it.
-    """
-    if i == M.top:
-        return False
-    return all(row[i] == i for a, row in enumerate(M._prod_below) if a not in X)
 
 
 # -- X-multiplicatively closed sets -------------------------------------------
@@ -233,11 +220,7 @@ def x_mult_closed_witness(
     Witness forms: ("missing", a) when a is outside X but not a member;
     ("escapes", a1, a2, prod) when a1 outside X and a2 a member multiply out.
     """
-    return _x_mult_closed_witness_mask(M, X, mask_of(members))
-
-
-def _x_mult_closed_witness_mask(M: MultiplicativeLattice, X: MClosedSet, amask: int) -> tuple | None:
-    """``x_mult_closed_witness`` on the members given as a mask."""
+    amask = mask_of(members)
     outside = M.full_mask & ~X.mask
     missing = outside & ~amask
     if missing:
@@ -281,18 +264,6 @@ def make_x_mult_closed(
     if w is not None:
         raise NotXMultClosed(w)
     return XMultClosedSet(X, ms)
-
-
-def complement_characterization(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
-    """Whether the complement of the down-set of i is X-multiplicatively closed.
-
-    For proper i of a finite lattice this agrees with ``is_x_element``. A
-    slow oracle for the tests: L14 decides the same from the masks.
-    """
-    if i == M.top:
-        raise ValueError("i must be proper")
-    # Nonempty, since top lies outside the down-set of a proper i.
-    return _x_mult_closed_witness_mask(M, X, M.full_mask & ~M.down_mask(i)) is None
 
 
 def maximal_x_avoiding(

@@ -10,7 +10,8 @@ Z_n), ``prod:M,N`` (ideal lattice of Z_m x Z_n) and ``chain:N`` or
 ``chain:A..B`` (chains with the meet multiplication; over ideal lattices of
 Z_n the nil and Jacobson down-sets always coincide, so the n-vs-J separation
 needs instances where the radical of bottom sits strictly below the Jacobson
-radical, and meet chains are the smallest such).
+radical, and meet chains are the smallest such; a one-element chain has no
+proper element, so chains start at two).
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def parse_corpus_spec(spec: str) -> CorpusSpec:
         m, n = (_int(part, spec, least=2) for part in parts)
         return CorpusSpec(partial(ideal_lattice_product, m), (n,))
     if kind == "chain":
-        return CorpusSpec(_meet_chain, _parse_range(rest, spec, least=1))
+        return CorpusSpec(_meet_chain, _parse_range(rest, spec, least=2))
     raise ValueError(
         f"bad corpus spec {spec!r}: unknown kind {kind!r}, expected one of "
         f"{', '.join(CORPUS_KINDS)}"

@@ -113,8 +113,6 @@ def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) ->
     results.append(_check_l2(M, sets, xels_of))
     results.append(_check_l3(M, canon["j"], xels_of[canon["j"].members]))
     results.append(_check_l4(M))
-    # The prime-meet down-set is the nil down-set: _radicals cross-asserts
-    # radical(bottom) = the meet of all primes.
     results.append(_check_l10(M, xels_of[canon["n"].members]))
     results.append(_check_l11(M, xels_of[canon["n"].members]))
     results.append(_check_l12(M, xels_of[canon["j"].members]))
@@ -306,7 +304,7 @@ def _check_l10(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
 
 def _check_l11(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
     """For the prime-meet down-set: X-element iff primary with radical the prime meet."""
-    j = M.big_meet(M.prime_elements())
+    j = M.radical(M.bottom)
     for i in M.proper_elements():
         lhs = i in xels
         rhs = M.is_primary(i) and M.radical(i) == j

@@ -9,14 +9,13 @@ are checked on the join-irreducibles J(L), which every element is the join
 of: distribution over L x J(L) and associativity over J(L)^3. A table they
 reject is scanned again over all tuples, which names the first violation.
 A table that survives becomes a :class:`MultiplicativeLattice`: a
-:class:`FiniteLattice` with the table and a name added (J(L) carried over
-from the checks), which computes on first use the data the classification
-sweeps lean on: radicals (by two independent formulas, cross-asserted),
-prime/maximal element sets, the zero divisors, and the residual table. That
-table holds (i : a) for every i and a. Its rows for bottom and J(L) are
-computed directly, and every other row is the elementwise meet of two
-earlier rows by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2) lookups
-in all.
+:class:`FiniteLattice` (J(L) included) with the table and a name added,
+which computes on first use the data the classification sweeps lean on:
+radicals (by two independent formulas, cross-asserted), prime/maximal
+element sets, the zero divisors, and the residual table. That table holds
+(i : a) for every i and a. Its rows for bottom and J(L) are computed
+directly, and every other row is the elementwise meet of two earlier rows
+by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2) lookups in all.
 
 Three escape masks, each built once, answer every X-element question. An
 element a *escapes* at i when a*b <= i for some b not <= i.
@@ -426,10 +425,7 @@ def attach_multiplication(
         _full_axiom_scan(lattice, rows)
         raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
     base = {f.name: getattr(lattice, f.name) for f in fields(FiniteLattice)}
-    M = MultiplicativeLattice(**base, table=rows, name=name)
-    # Filled where cached_property would store it, so J(L) is scanned once.
-    vars(M)["join_irreducibles"] = irreducibles
-    return M
+    return MultiplicativeLattice(**base, table=rows, name=name)
 
 
 def _distributes_over_irreducibles(
@@ -550,15 +546,16 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
         meet_table=combine(A.meet_table, B.meet_table),
         join_table=combine(A.join_table, B.join_table),
         labels=labels,
+        join_irreducibles=tuple(sorted(
+            [q * k2 + B.bottom for q in A.join_irreducibles]
+            + [A.bottom * k2 + q for q in B.join_irreducibles]
+        )),
         table=combine(A.table, B.table),
         name=name,
     )
-    # Filled where cached_property would store them, so they are never recomputed.
+    # Not a field: perfbench/tracing.py re-wraps the _prod_below cached_property
+    # on the class. The generic build costs more than this whole product.
     vars(M)["_prod_below"] = combine(A._prod_below, B._prod_below)
-    vars(M)["join_irreducibles"] = tuple(sorted(
-        [q * k2 + B.bottom for q in A.join_irreducibles]
-        + [A.bottom * k2 + q for q in B.join_irreducibles]
-    ))
     return M
 
 

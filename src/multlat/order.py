@@ -13,7 +13,6 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NoReturn
 
 
@@ -122,7 +121,11 @@ def _warshall(size: int, pairs: list[tuple[int, int]]) -> NoReturn:
 
 @dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """A validated finite bounded lattice with precomputed meet/join tables; equality is identity."""
+    """A validated finite bounded lattice with precomputed meet/join tables; equality is identity.
+
+    ``join_irreducibles`` is J(L) in index order, recorded by ``validate_lattice``;
+    every element is the join of the members of J(L) below it (Dilworth 1962).
+    """
 
     order: PartialOrder
     bottom: int
@@ -130,6 +133,7 @@ class FiniteLattice:
     meet_table: tuple[tuple[int, ...], ...]
     join_table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    join_irreducibles: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -189,18 +193,6 @@ class FiniteLattice:
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
-    @cached_property
-    def join_irreducibles(self) -> tuple[int, ...]:
-        """J(L) in index order: the q covering exactly one element.
-
-        Those are the q whose strict down-set is principal (bottom's is empty,
-        so never principal). Every element is the join of the members of J(L)
-        below it (Dilworth 1962).
-        """
-        down = self.order.down
-        principal = set(down)
-        return tuple(q for q in range(self.size) if (down[q] ^ (1 << q)) in principal)
-
 
 def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -> FiniteLattice:
     """Check every pair has a meet and a join; fix bottom/top; build tables.
@@ -212,6 +204,8 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     symmetry only the pairs x <= y (as indices) are scanned, each filling
     [x][y] and [y][x]: if (x, y) with x > y failed, (y, x) failed earlier,
     so the first failing pair has x <= y, and its meet is still tested first.
+    J(L), the q covering exactly one element, are the q whose strict down-set
+    is principal (bottom's is empty, so never): one lookup each in that index.
     """
     n = order.size
     if labels is None:
@@ -241,7 +235,8 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     full = (1 << n) - 1
     bottom, top = by_up[full], by_down[full]
     tables = tuple(map(tuple, meet_rows)), tuple(map(tuple, join_rows))
-    return FiniteLattice(order, bottom, top, *tables, label_tuple)
+    irreducibles = tuple(q for q in range(n) if (down[q] ^ (1 << q)) in by_down)
+    return FiniteLattice(order, bottom, top, *tables, label_tuple, irreducibles)
 
 
 def lattice_from_pairs(

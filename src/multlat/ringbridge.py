@@ -82,19 +82,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # n itself prime
-
-
 def _ideal_label(d: int, modulus: int) -> str:
     return "(0)" if d == modulus else f"({d})"
 
@@ -286,18 +273,15 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     of n index for index, bottom (0) and top (1) included; only the labels
     and the name differ. Moduli of one shape (6 and 10, 12 and 45) share
     one lattice, built and validated once by ``_shape_lattice``, and their
-    instances share its tables. The caches derived on first use (residual
-    table, escape masks, radicals) stay per instance.
+    instances share its tables and J(L). The caches derived on first use
+    (residual table, escape masks, radicals) stay per instance.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     divs = divisors(n)
     model = ZnIdealModel(n, divs)
     template = _shape_lattice(_shape(divs))
-    M = replace(template, labels=model.labels(), name=f"zn:{n}")
-    # Filled where cached_property would store it, so J(L) is scanned once per shape.
-    vars(M)["join_irreducibles"] = template.join_irreducibles
-    return M, model
+    return replace(template, labels=model.labels(), name=f"zn:{n}"), model
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)

@@ -46,6 +46,7 @@ class ParseError(ValueError):
 
 XSET_KEYWORDS = {"zdiv": "r", "nil-downset": "n", "jrad-downset": "j"}
 """xset keywords for the canonical sets, mapped to their ``CANONICAL_SETS`` letter."""
+_XSET_HEADS = frozenset((*XSET_KEYWORDS, "downset"))
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,10 @@ def render_spec(M: MultiplicativeLattice, named: dict[str, MClosedSet] | None = 
     empty one, or one with ':', '#' or whitespace. It also rejects a lattice
     name that is empty, has '#', or has whitespace other than single spaces
     between words (a newline among them); ':' is fine in a name.
+    A set's members are written in index order, except that those labelled
+    ``zdiv``, ``nil-downset``, ``jrad-downset`` or ``downset``, which the
+    parser reads in first place as another form, come last; ValueError names
+    a set with no other member.
     """
     for text in (*M.labels, *(named or {})):
         if not text or re.search(r"[\s:#]", text):
@@ -235,6 +240,8 @@ def render_spec(M: MultiplicativeLattice, named: dict[str, MClosedSet] | None = 
         row = " ".join(M.label(v) for v in M.table[a])
         lines.append(f"row {M.label(a)}: {row}")
     for set_name, X in (named or {}).items():
-        members = " ".join(M.label(i) for i in sorted(X.members))
-        lines.append(f"xset {set_name}: {members}")
+        members = sorted(map(M.label, sorted(X.members)), key=_XSET_HEADS.__contains__)
+        if not members or members[0] in _XSET_HEADS:
+            raise ValueError(f"cannot write xset {set_name!r} in a spec: every member label is a keyword")
+        lines.append(f"xset {set_name}: {' '.join(members)}")
     return "\n".join(lines) + "\n"

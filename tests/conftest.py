@@ -20,7 +20,8 @@ from multlat import (
     load_path,
     trivial_mult,
 )
-from multlat.order import build_order, validate_lattice
+from multlat.classify import x_mult_closed_witness
+from multlat.order import build_order, iter_bits, validate_lattice
 from multlat.ringbridge import divisors
 
 LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
@@ -166,6 +167,56 @@ def zn_lattice_oracle(n):
     labels = ["(0)" if d == n else f"({d})" for d in divs]
     lattice = validate_lattice(build_order(len(divs), covers), labels)
     return attach_multiplication(lattice, table, name=f"zn:{n}")
+
+
+def join_irreducibles_oracle(M):
+    """J(L) from the Hasse diagram: the q covering exactly one element, in index order.
+
+    The reference for the ``join_irreducibles`` field, which
+    ``validate_lattice`` reads off its principal down-sets instead.
+    """
+    lower_covers = [0] * M.size
+    for _, y in M.covers():
+        lower_covers[y] += 1
+    return tuple(q for q, count in enumerate(lower_covers) if count == 1)
+
+
+def residual_characterization(M, X, i) -> bool:
+    """i proper and (i : a) = i for every a outside X.
+
+    Agrees with ``is_x_element`` on every input of a finite lattice; the
+    slow per-element reference for the mask-based decision.
+    """
+    if i == M.top:
+        return False
+    return all(row[i] == i for a, row in enumerate(M._prod_below) if a not in X)
+
+
+def complement_characterization(M, X, i) -> bool:
+    """Whether the complement of the down-set of i is X-multiplicatively closed.
+
+    For proper i of a finite lattice this agrees with ``is_x_element``; L14
+    decides the same from the masks.
+    """
+    if i == M.top:
+        raise ValueError("i must be proper")
+    # Nonempty, since top lies outside the down-set of a proper i.
+    outside = iter_bits(M.full_mask & ~M.down_mask(i))
+    return x_mult_closed_witness(M, X, outside) is None
+
+
+def is_prime_power(n: int) -> bool:
+    """Whether n = p^k for a prime p and k >= 1, by trial division."""
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+        p += 1
+    return True  # n itself prime
 
 
 def div_index(M, label: str) -> int:

@@ -18,7 +18,6 @@ from multlat import (
     classify_lattice,
     ideal_lattice_zn,
     is_j_element,
-    is_prime_power,
     is_x_element,
     is_x_mult_closed,
     lemma_suite,
@@ -32,7 +31,7 @@ from multlat import (
 from multlat.classify import NotMClosed
 from multlat.cli import main
 from multlat.corpus import PRODUCT_MODULI, acceptance_corpus, chain_lattice
-from conftest import brute_force_axioms_hold, div_index, m3_plus_top, n5_plus_top
+from conftest import brute_force_axioms_hold, div_index, is_prime_power, m3_plus_top, n5_plus_top
 
 
 @contextlib.contextmanager

@@ -10,7 +10,6 @@ from multlat import (
     chain_lattice,
     check_report_witnesses,
     classify_lattice,
-    complement_characterization,
     downset_m_closed,
     ideal_lattice_product,
     ideal_lattice_zn,
@@ -30,7 +29,6 @@ from multlat import (
     principal_generator,
     report_from_json,
     report_to_json,
-    residual_characterization,
     trivial_mult,
     x_elements,
     x_mult_closed_witness,
@@ -38,7 +36,14 @@ from multlat import (
     zero_divisor_set,
 )
 from multlat.classify import m_closed_witness
-from conftest import div_index, m3_plus_top, n5_plus_top, x_set_instances
+from conftest import (
+    complement_characterization,
+    div_index,
+    m3_plus_top,
+    n5_plus_top,
+    residual_characterization,
+    x_set_instances,
+)
 
 
 def members_by_label(M, *labels):

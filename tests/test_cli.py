@@ -218,6 +218,7 @@ def test_bad_specs_fail_before_any_lattice_is_built(capsys):
         ("search", "--corpus", "zn:2..1000", "--corpus", "zn:0..3", "--find", "join-of-x-not-x"),
         ("search", "--corpus", "zn:2..1000", "--corpus", "prod:1,3", "--find", "join-of-x-not-x"),
         ("search", "--corpus", "zn:2..1000", "--corpus", "chain:0..3", "--find", "join-of-x-not-x"),
+        ("search", "--corpus", "zn:2..1000", "--corpus", "chain:1..3", "--find", "join-of-x-not-x"),
         ("classify", "zn:55440..55441"),
     ):
         ideal_lattice_zn.cache_clear()

@@ -21,12 +21,10 @@ from multlat import (
     acceptance_corpus,
     canonical_sets,
     chain_lattice,
-    complement_characterization,
     cross_validate,
     downset_m_closed,
     ideal_lattice_zn,
     product,
-    residual_characterization,
     search_corpus,
     x_element_mask,
     x_elements,
@@ -36,7 +34,13 @@ from multlat.classify import distinct_sets
 from multlat.lemmas import CheckResult, _check_l5, _check_l13, _lbl
 from multlat.order import mask_of
 from multlat.search import PROPERTIES
-from conftest import m3_plus_top, n5_plus_top, x_set_instances
+from conftest import (
+    complement_characterization,
+    m3_plus_top,
+    n5_plus_top,
+    residual_characterization,
+    x_set_instances,
+)
 
 
 def instances():

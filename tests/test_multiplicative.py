@@ -6,6 +6,7 @@ under addition by hand), then frozen.
 """
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -40,6 +41,7 @@ from conftest import (
     div_index,
     first_axiom_violation,
     irreducible_generated_instances,
+    join_irreducibles_oracle,
     m3_plus_top,
     n5_plus_top,
     tables_from_irreducibles,
@@ -114,14 +116,35 @@ def test_multiplicative_lattice_is_a_finite_lattice():
 
 
 def test_attach_multiplication_carries_the_irreducibles_over():
-    # The axiom checks scan J(L) on the lattice; the result keeps that scan
-    # instead of computing it again, and a fresh scan of the result agrees.
+    # validate_lattice records J(L) as a field; the axiom checks read it and
+    # the result carries the same tuple, which the Hasse-diagram scan confirms.
     singleton = trivial_mult(lattice_from_pairs(1, []))
     for M in (singleton, kite_lattice.__wrapped__(), m3_plus_top(), n5_plus_top(),
               chain_lattice.__wrapped__(7, "meet"), ideal_lattice_zn.__wrapped__(720)[0],
               *itertools.islice(irreducible_generated_instances(), 20)):
         assert "join_irreducibles" in vars(M), M.name
-        assert M.join_irreducibles == FiniteLattice.join_irreducibles.func(M), M.name
+        assert M.join_irreducibles == join_irreducibles_oracle(M), M.name
+        again = attach_multiplication(M, M.table, M.name)
+        assert again.join_irreducibles is M.join_irreducibles, M.name
+
+
+def test_join_irreducibles_match_the_hasse_diagram():
+    # J(L) has one producer, validate_lattice; every other constructor passes
+    # it on. Compared with the q covering exactly one element, from covers().
+    instances = itertools.chain(
+        x_set_instances(),
+        (lattice_from_pairs(1, []), trivial_mult(lattice_from_pairs(1, []))),
+        (ideal_lattice_zn(n)[0] for n in range(2, 301)),
+        (ideal_lattice_product(m, n)[0] for m in (2, 12, 30) for n in (4, 9, 60)),
+        (product(n5_plus_top(), ideal_lattice_zn(12)[0]), product(m3_plus_top(), m3_plus_top())),
+    )
+    for M in instances:
+        assert M.join_irreducibles == join_irreducibles_oracle(M), getattr(M, "name", M.size)
+    assert not any(isinstance(v, functools.cached_property) for v in vars(FiniteLattice).values())
+    # Moduli of one divisor shape share the shape's tuple, not a copy of it.
+    six, ten = (ideal_lattice_zn.__wrapped__(n)[0] for n in (6, 10))
+    assert ten.join_irreducibles is six.join_irreducibles
+    assert ideal_lattice_zn(10)[0].join_irreducibles == six.join_irreducibles
 
 
 def test_bad_entry_rejected(z12):
@@ -632,13 +655,13 @@ def assert_product_matches_oracle(A, B, brute_force=True):
     assert (M.bottom, M.top, M.name) == (lattice.bottom, lattice.top, f"{A.name}x{B.name}")
     if brute_force:
         assert brute_force_axioms_hold(lattice, table)
-    # The residual table and J(L) are filled in by product; recompute both.
+    # product fills in the residual table and passes J(L) on; recompute both.
     assert M._prod_below == MultiplicativeLattice._prod_below.func(M) == oracle._prod_below
     k2 = B.size
     formula = sorted([q * k2 + B.bottom for q in A.join_irreducibles]
                      + [A.bottom * k2 + q for q in B.join_irreducibles])
     assert list(M.join_irreducibles) == formula
-    assert M.join_irreducibles == FiniteLattice.join_irreducibles.func(M)
+    assert M.join_irreducibles == join_irreducibles_oracle(M) == lattice.join_irreducibles
 
 
 PRODUCT_FACTORS = {

@@ -20,7 +20,6 @@ from multlat import (
     cross_validate_zn,
     ideal_lattice_product,
     ideal_lattice_zn,
-    is_prime_power,
     ring_is_j_ideal,
     ring_is_n_ideal,
     ring_is_r_ideal,
@@ -39,7 +38,7 @@ from multlat.ringbridge import (
 )
 from multlat.corpus import parse_corpus_spec
 from multlat.search import search_corpus
-from conftest import zn_lattice_oracle
+from conftest import is_prime_power, zn_lattice_oracle
 
 
 def subset_ideal(n, d):

@@ -322,6 +322,28 @@ def test_render_spec_rejects_unwritable_names(labels, set_name, bad):
 
 
 
+@pytest.mark.parametrize("keyword", ["zdiv", "nil-downset", "jrad-downset", "downset"])
+def test_render_spec_never_writes_a_keyword_first(keyword):
+    # On the meet chain 0 < m < 1 with m labelled as an xset keyword, a set
+    # written as "m ..." would load back as a keyword or down-set form (or
+    # not at all); another member goes first, and a set of keywords alone
+    # has no member-list form.
+    from multlat import lattice_from_pairs, make_m_closed, meet_mult
+
+    M = meet_mult(lattice_from_pairs(3, [(0, 1), (1, 2)], ("0", keyword, "1")), name="chain")
+    named = {
+        name: make_m_closed(M, members, name)
+        for name, members in (("s", {1, 2}), ("t", {0, 1}), ("u", {0, 1, 2}), ("v", {2}))
+    }
+    text = render_spec(M, named)
+    _, loaded = loads(text)
+    assert {k: X.members for k, X in loaded.items()} == {k: X.members for k, X in named.items()}
+    assert f"xset s: 1 {keyword}\n" in text and f"xset t: 0 {keyword}\n" in text
+    with pytest.raises(ValueError) as err:
+        render_spec(M, {"w": make_m_closed(M, {1}, "w")})
+    assert "'w'" in str(err.value)
+
+
 def _chain(name):
     from multlat import lattice_from_pairs, meet_mult
 
