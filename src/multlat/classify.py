@@ -17,7 +17,7 @@ in element-index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -51,14 +51,19 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class MClosedSet:
-    """A nonempty subset closed under the lattice multiplication."""
+    """A nonempty subset closed under the lattice multiplication.
+
+    A caller that holds the members as a mask passes it as ``members_mask``.
+    """
 
     members: frozenset[int]
     name: str = "X"
     _mask: int = field(init=False, repr=False, compare=False)
+    members_mask: InitVar[int | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_mask", mask_of(self.members))
+    def __post_init__(self, members_mask):
+        mask = mask_of(self.members) if members_mask is None else members_mask
+        object.__setattr__(self, "_mask", mask)
 
     @property
     def mask(self) -> int:
@@ -98,7 +103,8 @@ def downset_m_closed(M: MultiplicativeLattice, j: int, name: str | None = None) 
     """The down-set of j; M-closed without a scan, since a, b <= j gives a*b <= a <= j."""
     if name is None:
         name = f"downset:{M.label(j)}"
-    return MClosedSet(M.down_set(j), name)
+    down = M.down_mask(j)
+    return MClosedSet(frozenset(iter_bits(down)), name, down)
 
 
 def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet:
@@ -107,7 +113,8 @@ def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet
     x != bottom give (a*b)*x = b*(a*x) = bottom."""
     if M.size == 1:
         raise DegenerateLattice("zero-divisor set needs a proper element")
-    return MClosedSet(M.zero_divisors(), name)
+    zdiv = (M.core or M)._zdiv_mask
+    return MClosedSet(frozenset(iter_bits(zdiv)), name, zdiv)
 
 
 def nil_downset(M: MultiplicativeLattice, name: str = "nil") -> MClosedSet:
@@ -123,10 +130,9 @@ def jacobson_downset(M: MultiplicativeLattice, name: str = "jrad") -> MClosedSet
 
 
 def prime_meet_downset(M: MultiplicativeLattice, name: str = "pmeet") -> MClosedSet:
-    """Down-set of the meet of all primes: radical(bottom), as ``_radicals`` asserts."""
-    if M.size == 1:
-        raise DegenerateLattice("prime-meet down-set needs a proper element")
-    return downset_m_closed(M, M.radical(M.bottom), name)
+    """Down-set of the meet of all primes: radical(bottom), as ``_radicals``
+    asserts, so the nil down-set under another name."""
+    return nil_downset(M, name)
 
 
 CANONICAL_SETS = {"r": zero_divisor_set, "n": nil_downset, "j": jacobson_downset}
@@ -167,12 +173,20 @@ def is_x_element(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
 
 
 def x_element_mask(M: MultiplicativeLattice, X: MClosedSet) -> int:
-    """The X-elements as a mask: the proper elements at which no a outside X escapes."""
-    escapes = M._escape_sets
-    hit = 1 << M.top
-    for a in iter_bits(M.full_mask & ~X.mask):
-        hit |= escapes[a]
-    return M.full_mask & ~hit
+    """The X-elements as a mask: the proper elements at which no a outside X escapes.
+
+    Kept per core and per X.mask, since it reads nothing else.
+    """
+    core, members = M.core or M, X.mask
+    memo = core._x_masks
+    found = memo.get(members)
+    if found is None:
+        escapes = core._escape_sets
+        hit = 1 << M.top
+        for a in iter_bits(M.full_mask & ~members):
+            hit |= escapes[a]
+        found = memo[members] = M.full_mask & ~hit
+    return found
 
 
 def x_elements(M: MultiplicativeLattice, X: MClosedSet) -> frozenset[int]:

@@ -125,6 +125,7 @@ class FiniteLattice:
 
     ``join_irreducibles`` is J(L) in index order, recorded by ``validate_lattice``;
     every element is the join of the members of J(L) below it (Dilworth 1962).
+    ``labels`` is None for a lattice validated without labels.
     """
 
     order: PartialOrder
@@ -132,7 +133,7 @@ class FiniteLattice:
     top: int
     meet_table: tuple[tuple[int, ...], ...]
     join_table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None
     join_irreducibles: tuple[int, ...]
 
     @property
@@ -206,15 +207,14 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     so the first failing pair has x <= y, and its meet is still tested first.
     J(L), the q covering exactly one element, are the q whose strict down-set
     is principal (bottom's is empty, so never): one lookup each in that index.
+    Without ``labels`` the lattice has none (``labels`` None).
     """
     n = order.size
-    if labels is None:
-        label_tuple = tuple(str(i) for i in range(n))
-    else:
-        label_tuple = tuple(labels)
-        if len(label_tuple) != n:
-            raise ValueError(f"{len(label_tuple)} labels for {n} elements")
-        if len(set(label_tuple)) != n:
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} elements")
+        if len(set(labels)) != n:
             raise ValueError("duplicate labels")
     up, down = order.up, order.down
     by_down = {d: c for c, d in enumerate(down)}
@@ -236,7 +236,7 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     bottom, top = by_up[full], by_down[full]
     tables = tuple(map(tuple, meet_rows)), tuple(map(tuple, join_rows))
     irreducibles = tuple(q for q in range(n) if (down[q] ^ (1 << q)) in by_down)
-    return FiniteLattice(order, bottom, top, *tables, label_tuple, irreducibles)
+    return FiniteLattice(order, bottom, top, *tables, labels, irreducibles)
 
 
 def lattice_from_pairs(
@@ -244,4 +244,7 @@ def lattice_from_pairs(
     pairs: Iterable[tuple[int, int]],
     labels: Iterable[str] | None = None,
 ) -> FiniteLattice:
+    """The lattice of ``pairs``' closure; without ``labels``, each element is labelled by its index."""
+    if labels is None:
+        labels = map(str, range(size))
     return validate_lattice(build_order(size, pairs), labels)

@@ -20,7 +20,7 @@ from multlat import (
     load_path,
     trivial_mult,
 )
-from multlat.classify import x_mult_closed_witness
+from multlat.classify import canonical_sets, x_element_mask, x_mult_closed_witness
 from multlat.order import build_order, iter_bits, validate_lattice
 from multlat.ringbridge import divisors
 
@@ -167,6 +167,23 @@ def zn_lattice_oracle(n):
     labels = ["(0)" if d == n else f"({d})" for d in divs]
     lattice = validate_lattice(build_order(len(divs), covers), labels)
     return attach_multiplication(lattice, table, name=f"zn:{n}")
+
+
+CORE_CACHES = (
+    "_prod_below", "_escape_sets", "_residual_movers", "_residual_values",
+    "_radicals", "_prime_mask", "_max_mask", "_zdiv_mask", "_nil_mask",
+)
+
+
+def assert_same_derived_data(M, W):
+    """M's caches equal W's, and so do the Jacobson radical and the X-element
+    mask of each canonical set; M and W share one numbering."""
+    for attr in CORE_CACHES:
+        assert getattr(M, attr) == getattr(W, attr), (M.name, attr)
+    assert M.jacobson() == W.jacobson(), M.name
+    for (letter, X), Y in zip(canonical_sets(M).items(), canonical_sets(W).values()):
+        assert X.members == Y.members, (M.name, letter)
+        assert x_element_mask(M, X) == x_element_mask(W, Y), (M.name, letter)
 
 
 def join_irreducibles_oracle(M):

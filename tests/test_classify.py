@@ -35,7 +35,8 @@ from multlat import (
     x_witness,
     zero_divisor_set,
 )
-from multlat.classify import m_closed_witness
+from multlat.classify import canonical_sets, m_closed_witness
+from multlat.order import mask_of
 from conftest import (
     complement_characterization,
     div_index,
@@ -51,6 +52,28 @@ def members_by_label(M, *labels):
 
 
 # -- M-closed sets ---------------------------------------------------------------
+
+
+def test_sets_built_from_a_mask_keep_it():
+    # zero_divisor_set and downset_m_closed hand MClosedSet the mask they
+    # read; it must be the mask of the members they list.
+    for M in x_set_instances():
+        for X in canonical_sets(M).values():
+            assert X.mask == mask_of(X.members), (M.name, X.name)
+        for j in (M.bottom, M.top, M.size // 2):
+            X = downset_m_closed(M, j)
+            assert X.mask == mask_of(X.members) == M.down_mask(j), (M.name, j)
+
+
+def test_prime_meet_downset_is_the_nil_downset():
+    # One producer: radical(bottom) is the meet of the primes. The Jacobson
+    # down-set differs from it on many instances (N5+top, meet chains).
+    differ = 0
+    for M in x_set_instances():
+        P, N = prime_meet_downset(M), nil_downset(M)
+        assert (P.members, P.mask, P.name) == (N.members, N.mask, "pmeet"), M.name
+        differ += N.members != jacobson_downset(M).members
+    assert differ
 
 
 def test_top_singleton_is_m_closed(kite):

@@ -22,21 +22,29 @@ from multlat import (
     TopJoinReducible,
     attach_multiplication,
     build_order,
+    canonical_sets,
     chain_lattice,
+    classify_lattice,
+    hasse_dot,
     ideal_lattice_product,
     ideal_lattice_zn,
     kite_lattice,
     lattice_from_pairs,
+    lemma_suite,
     load_path,
     meet_mult,
     product,
+    report_to_json,
     trivial_mult,
     validate_lattice,
 )
 from multlat import multiplicative
+from multlat.ringbridge import cross_validate
+from multlat.search import PROPERTIES, search_corpus
 from multlat.order import iter_bits, mask_of
 from conftest import (
     LATTICE_DIR,
+    assert_same_derived_data,
     brute_force_axioms_hold,
     div_index,
     first_axiom_violation,
@@ -296,8 +304,8 @@ def test_residual_table_lookups_are_bounded():
         n, j = M.size, len(M.join_irreducibles)
         assert n * j * j + n * n == bound
         reads = [0]
-        twin = dataclasses.replace(
-            M,
+        twin = dataclasses.replace(  # a fresh core: nothing cached
+            M.core,
             join_table=tuple(CountingRow(r, reads) for r in M.join_table),
             meet_table=tuple(CountingRow(r, reads) for r in M.meet_table),
         )
@@ -389,13 +397,13 @@ def test_radicals_match_the_literal_definitions():
 
 
 def test_radical_mismatch_names_the_first_disagreement():
-    # A prime mask that lacks the prime (3), seeded before _radicals is read,
-    # makes the prime formula disagree with the powers at several a; the
-    # error names the first of them in index order.
+    # A prime mask that lacks the prime (3), seeded into the core before
+    # _radicals is read, makes the prime formula disagree with the powers at
+    # several a; the error names the first of them in index order.
     M = ideal_lattice_zn(72)[0]
     fresh = attach_multiplication(M, M.table, M.name)
     seeded = [p for p in M.prime_elements() if p != div_index(M, "(3)")]
-    vars(fresh)["_prime_mask"] = mask_of(seeded)
+    vars(fresh.core)["_prime_mask"] = mask_of(seeded)
     by_powers, by_primes = _literal_radicals(fresh, seeded)
     disagree = [a for a in range(M.size) if by_powers[a] != by_primes[a]]
     assert len(disagree) > 1 and disagree[0] > 0
@@ -655,13 +663,46 @@ def assert_product_matches_oracle(A, B, brute_force=True):
     assert (M.bottom, M.top, M.name) == (lattice.bottom, lattice.top, f"{A.name}x{B.name}")
     if brute_force:
         assert brute_force_axioms_hold(lattice, table)
-    # product fills in the residual table and passes J(L) on; recompute both.
-    assert M._prod_below == MultiplicativeLattice._prod_below.func(M) == oracle._prod_below
+    # product gives its core the residual table and passes J(L) on; recompute both.
+    assert M._prod_below == MultiplicativeLattice._prod_below.func(M.core) == oracle._prod_below
     k2 = B.size
     formula = sorted([q * k2 + B.bottom for q in A.join_irreducibles]
                      + [A.bottom * k2 + q for q in B.join_irreducibles])
     assert list(M.join_irreducibles) == formula
     assert M.join_irreducibles == join_irreducibles_oracle(M) == lattice.join_irreducibles
+
+
+def test_views_store_nothing_after_they_are_built():
+    # The library reads every cache off the core, so the commands leave a
+    # view with its fields only: its caches are its core's.
+    fields = {f.name for f in dataclasses.fields(MultiplicativeLattice)}
+    zn = [ideal_lattice_zn.__wrapped__(n) for n in (12, 360, 5040)]
+    views = [M for M, _ in zn] + [
+        ideal_lattice_product.__wrapped__(12, 30)[0], chain_lattice.__wrapped__(6, "meet"),
+        n5_plus_top(), load_path(LATTICE_DIR / "n5-top.lat")[0],
+    ]
+    for M in views:
+        assert vars(M).keys() == fields, M.name
+        lemma_suite(M)
+        report_to_json(classify_lattice(M))
+        for name in PROPERTIES:
+            search_corpus([M], name)
+        hasse_dot(M, tuple(canonical_sets(M).values()))
+        assert M.core is not None and vars(M).keys() == fields, M.name
+    for M, model in zn:
+        cross_validate(M, model)
+        assert vars(M).keys() == fields, M.name
+
+
+def test_products_match_the_generic_build():
+    # Every cache of a componentwise core, the residual table it was given
+    # included, against the generic attach_multiplication build of A x B.
+    n5, z72, z5040 = n5_plus_top(), ideal_lattice_zn(72)[0], ideal_lattice_zn(5040)[0]
+    for M, A, B in ((ideal_lattice_product(72, 72)[0], z72, z72),
+                    (product(n5, z5040, "N5+top x zn:5040"), n5, z5040)):
+        lattice, _, oracle = product_oracle(A, B)
+        assert (M.table, M.join_irreducibles) == (oracle.table, lattice.join_irreducibles)
+        assert_same_derived_data(M, oracle)
 
 
 PRODUCT_FACTORS = {

@@ -190,6 +190,13 @@ def test_covers_transitive_reduction(z12):
         assert not any(L.lt(x, z) and L.lt(z, y) for z in range(L.size))
 
 
+def test_unlabelled_lattices():
+    # lattice_from_pairs labels each element by its index; validate_lattice
+    # writes no labels of its own.
+    assert lattice_from_pairs(3, [(0, 1), (1, 2)]).labels == ("0", "1", "2")
+    assert validate_lattice(build_order(3, [(0, 1), (1, 2)])).labels is None
+
+
 def test_labels_validation():
     with pytest.raises(ValueError):
         lattice_from_pairs(2, [(0, 1)], ["a"])

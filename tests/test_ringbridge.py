@@ -6,7 +6,9 @@ the gcd/lcm shortcuts being tested appear on the oracle side.
 """
 
 import dataclasses
+import functools
 from array import array
+from collections import Counter
 from itertools import compress
 from math import gcd
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from multlat import (
     CrossValidationMismatch,
+    MultiplicativeLattice,
     cross_validate_product,
     cross_validate_zn,
     ideal_lattice_product,
@@ -24,7 +27,7 @@ from multlat import (
     ring_is_n_ideal,
     ring_is_r_ideal,
 )
-from multlat import ringbridge
+from multlat import nil_downset, ringbridge, x_element_mask
 from multlat.corpus import PRODUCT_MODULI
 from multlat.order import build_order, validate_lattice
 from multlat.ringbridge import (
@@ -38,7 +41,7 @@ from multlat.ringbridge import (
 )
 from multlat.corpus import parse_corpus_spec
 from multlat.search import search_corpus
-from conftest import is_prime_power, zn_lattice_oracle
+from conftest import assert_same_derived_data, is_prime_power, zn_lattice_oracle
 
 
 def subset_ideal(n, d):
@@ -522,7 +525,7 @@ def test_products_validate_only_their_factors(monkeypatch, moduli):
                 if hasattr(module, name):
                     patch.setattr(module, name, forbidden)
         M = ideal_lattice_product.__wrapped__(*moduli)[0]
-    assert {"_prod_below", "join_irreducibles"} <= vars(M).keys()
+    assert {"_prod_below", "join_irreducibles"} <= vars(M.core).keys()
 
     calls = []
 
@@ -558,10 +561,7 @@ def assert_matches_the_per_modulus_build(n):
     assert (M.meet_table, M.join_table, M.table) == (W.meet_table, W.join_table, W.table), n
     assert (M.labels, M.name, M.bottom, M.top) == (W.labels, W.name, W.bottom, W.top), n
     assert M.join_irreducibles == W.join_irreducibles, n
-    assert M._prod_below == W._prod_below, n
-    assert M._escape_sets == W._escape_sets, n
-    assert M._prime_mask == W._prime_mask, n
-    assert M._radicals == W._radicals, n
+    assert_same_derived_data(M, W)
 
 
 def test_shared_shapes_match_the_per_modulus_build_up_to_2000():
@@ -573,6 +573,33 @@ def test_shared_shapes_match_the_per_modulus_build_up_to_2000():
 def test_large_moduli_match_the_per_modulus_build(n):
     # 510510 = 2*3*5*7*11*13*17, seven primes renamed to themselves.
     assert_matches_the_per_modulus_build(n)
+
+
+def test_a_fresh_search_derives_each_shape_once(monkeypatch):
+    # The derived caches are the shape cores': a fresh search over zn:2..1000
+    # computes each of them once per shape, 131 times, not once per modulus.
+    computed = Counter()
+
+    def counting(name):
+        real = vars(MultiplicativeLattice)[name].func
+
+        def count(M):
+            if M.core is None:
+                computed[name] += 1
+            return real(M)
+
+        prop = functools.cached_property(count)
+        prop.__set_name__(MultiplicativeLattice, name)
+        return prop
+
+    names = ("_radicals", "_escape_sets", "_prime_mask")
+    for name in names:
+        monkeypatch.setattr(MultiplicativeLattice, name, counting(name))
+    ideal_lattice_zn.cache_clear()
+    ringbridge._shape_lattice.cache_clear()
+    spec = parse_corpus_spec("zn:2..1000")
+    hits = search_corpus((M for M, _ in spec), "x-exists-iff-min-prime-unique")
+    assert hits and computed == {name: 131 for name in names}
 
 
 def test_a_fresh_search_validates_each_shape_once(monkeypatch):
@@ -597,6 +624,14 @@ def test_moduli_of_one_shape_share_the_tables_not_the_labels():
     M6, M10 = build(6)[0], build(10)[0]
     assert M6.table is M10.table and M6.meet_table is M10.meet_table
     assert M6.order is M10.order
+    # One label-free core, whose caches both views read; a view of a view
+    # is a view of the same core.
+    assert M6.core is M10.core and M6.core.labels is None
+    assert M6._escape_sets is M10._escape_sets is vars(M6.core)["_escape_sets"]
+    assert M6.view(M10.labels, "zn:10").core is M6.core
+    # X-element masks are kept on the core, per member mask.
+    X = nil_downset(M6)
+    assert M10.core._x_masks[X.mask] == x_element_mask(M6, X) == x_element_mask(M10, X)
     assert M6.labels == ("(1)", "(2)", "(3)", "(0)")
     assert M10.labels == ("(1)", "(2)", "(5)", "(0)")
     assert (M6.name, M10.name) == ("zn:6", "zn:10")
