@@ -18,6 +18,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--zn", type=int, default=12, help="modulus (default 12)")
     args = parser.parse_args()
+    if args.zn < 2:
+        parser.error(f"--zn must be at least 2, got {args.zn}")
 
     M, _ = ideal_lattice_zn(args.zn)
     n = M.size

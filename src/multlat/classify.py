@@ -113,7 +113,7 @@ def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet
     x != bottom give (a*b)*x = b*(a*x) = bottom."""
     if M.size == 1:
         raise DegenerateLattice("zero-divisor set needs a proper element")
-    zdiv = (M.core or M)._zdiv_mask
+    zdiv = M._zdiv_mask
     return MClosedSet(frozenset(iter_bits(zdiv)), name, zdiv)
 
 
@@ -175,17 +175,16 @@ def is_x_element(M: MultiplicativeLattice, X: MClosedSet, i: int) -> bool:
 def x_element_mask(M: MultiplicativeLattice, X: MClosedSet) -> int:
     """The X-elements as a mask: the proper elements at which no a outside X escapes.
 
-    Kept per core and per X.mask, since it reads nothing else.
+    Kept in ``M.derived`` per X.mask, since it reads nothing else.
     """
-    core, members = M.core or M, X.mask
-    memo = core._x_masks
-    found = memo.get(members)
+    derived, members = M.derived, X.mask
+    found = derived.get(("x_element_mask", members))
     if found is None:
-        escapes = core._escape_sets
+        escapes = M._escape_sets
         hit = 1 << M.top
         for a in iter_bits(M.full_mask & ~members):
             hit |= escapes[a]
-        found = memo[members] = M.full_mask & ~hit
+        found = derived["x_element_mask", members] = M.full_mask & ~hit
     return found
 
 

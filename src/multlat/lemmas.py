@@ -180,7 +180,7 @@ def _check_l4(M: MultiplicativeLattice) -> CheckResult:
     # i is an X-element iff (i : a) = i for all a outside X; (top : a) = top always.
     maxima = M.max_elements()
     identity = tuple(range(M.size))
-    fixed = mask_of(a for a, row in enumerate((M.core or M)._prod_below) if row == identity)
+    fixed = mask_of(a for a, row in enumerate(M._prod_below) if row == identity)
     for m in M.proper_elements():
         if not M.full_mask & ~(M.down_mask(m) | fixed):
             if maxima != {m}:
@@ -236,7 +236,7 @@ def _check_l7(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
     # form, (i : a) = i for every a outside X, is not compared: it is L14's
     # E[i] inside X, and L14 compares it.
     xmask, xel_mask = X.mask, mask_of(xels)
-    down, values = M.order.down, (M.core or M)._residual_values
+    down, values = M.order.down, M._residual_values
     inside = mask_of(e for e in range(M.size) if down[e] & ~xmask == 0)
     for i in M.proper_elements():
         direct = i in xels
@@ -269,7 +269,7 @@ def _check_l8(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
 
 def _check_l9(M: MultiplicativeLattice, X: MClosedSet, j: int, xels: frozenset[int]) -> CheckResult:
     """For a proper down-set: a prime above the generator, or any maximal, is an X-element iff it equals the generator."""
-    for i in iter_bits((M.core or M)._prime_mask):
+    for i in iter_bits(M._prime_mask):
         if M.leq(j, i) and (i in xels) != (i == j):
             return CheckResult(
                 "L9", X.name, False,
@@ -318,9 +318,9 @@ def _check_l11(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
 
 def _check_l12(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
     """For the Jacobson down-set: X-element iff the two-part residual condition over maximal elements above."""
-    j = M.jacobson()
+    j, maxima = M.jacobson(), M.max_elements()
     for i in M.proper_elements():
-        m = M.big_meet(k for k in M.max_elements() if M.leq(i, k))
+        m = M.big_meet(k for k in maxima if M.leq(i, k))
         implication = M.escape_witness(i, M.down_mask(i), M.down_mask(m)) is None
         rhs = implication and m == j
         lhs = i in xels
@@ -372,7 +372,7 @@ def _check_l14(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) ->
     # outside X is in S, that is down(i) lies inside X, and no a outside X
     # has a*b <= i for some b in S, that is E[i] lies inside X.
     xmask = X.mask
-    down, movers = M.order.down, (M.core or M)._residual_movers
+    down, movers = M.order.down, M._residual_movers
     for i in M.proper_elements():
         if (i in xels) != ((down[i] | movers[i]) & ~xmask == 0):
             return CheckResult(

@@ -8,13 +8,13 @@ associativity; together these imply a*b <= a^b. The two cubic identities
 are checked on the join-irreducibles J(L), which every element is the join
 of: distribution over L x J(L) and associativity over J(L)^3. A table they
 reject is scanned again over all tuples, which names the first violation.
-A table that survives becomes a label-free *core*, the lattice's tables
-(J(L) included) with the table added, and is returned as a *view* of it, a
-:class:`MultiplicativeLattice` with the labels and a name. The core
-computes on first use, once for all its views, the data the
-classification sweeps lean on: radicals (by two independent formulas,
+A table that survives is returned as a :class:`MultiplicativeLattice`,
+which computes on first use, and keeps in its ``derived`` dict, the data
+the classification sweeps lean on: radicals (by two independent formulas,
 cross-asserted), prime/maximal element sets, the zero divisors, the
-Jacobson radical, the X-element masks and the residual table. That table holds
+Jacobson radical, the X-element masks and the residual table. None of them
+reads a label, so ``view`` relabels a lattice and passes the dict on, and
+every relabelling computes each of them once. The residual table holds
 (i : a) for every i and a. Its rows for bottom and J(L) are computed
 directly, and every other row is the elementwise meet of two earlier rows
 by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2) lookups in all.
@@ -37,7 +37,7 @@ element a *escapes* at i when a*b <= i for some b not <= i.
   (i : a) = top exactly when a <= i; so R[i] is column i of the residual
   table without top.
 
-``product`` builds the core of A x B from two validated factors
+``product`` builds A x B from two validated factors
 componentwise, its residual table and J(L) included. It validates nothing:
 every axiom is an equation, and an equation holds in A x B exactly when it
 holds in A and in B (the proof is in its docstring).
@@ -48,8 +48,8 @@ violating tuple in element-index order.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from functools import cached_property, wraps
+from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain, compress, islice
 from operator import eq, itemgetter
 from typing import Iterable
@@ -88,17 +88,27 @@ class DegenerateLattice(ValueError):
     """The one-element lattice has no proper elements to classify."""
 
 
-def _per_core(compute):
-    """A ``cached_property`` whose value is the core's: on a core, ``compute``
-    runs once; on a view, it is read from the view's core."""
-    name = compute.__name__
+class _derived:
+    """A lazy cache kept in ``M.derived`` under the name of ``compute``, never on M.
 
-    @wraps(compute)
-    def get(self):
-        core = self.core
-        return compute(self) if core is None else getattr(core, name)
+    ``func`` is the getter: it returns the stored value, computing and
+    storing it first if no lattice sharing the dict has.
+    """
 
-    return cached_property(get)
+    def __init__(self, compute):
+        name = compute.__name__
+
+        @wraps(compute)
+        def func(M):
+            derived = M.derived
+            if name not in derived:
+                derived[name] = compute(M)
+            return derived[name]
+
+        self.func = func
+
+    def __get__(self, M, owner=None):
+        return self if M is None else self.func(M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,28 +119,19 @@ class MultiplicativeLattice(FiniteLattice):
     ``trivial_mult`` / ``meet_mult`` shortcuts), or :func:`product` from
     two of them. Equality is identity.
 
-    The constructors of this module return a *view* of a *core*, itself a
-    MultiplicativeLattice with no labels (``labels`` None) and no ``core``.
-    The core holds the order, the meet, join and multiplication tables,
-    bottom, top, J(L) and every cache derived from them; none of these
-    reads a label. A view adds the labels and the name, and keeps its
-    core's table references as its own fields, so a read such as
-    ``M.table`` stays one attribute deep. Its caches are the core's,
-    computed once per core, so the moduli of one divisor shape share them
-    (``ringbridge.ideal_lattice_zn``). Reading a cache off a view would
-    store a second reference on the view, so the library reads it off
-    ``M.core or M``, and a view keeps only its fields. ``prod_below``
-    gives a core its residual table at construction (``product``).
+    ``derived`` holds every cache computed from the order, the tables,
+    bottom, top and J(L), keyed by its name, and the X-element masks of
+    ``classify.x_element_mask``, keyed by ("x_element_mask", X.mask). None
+    of these reads a label, so ``view`` hands the same dict to the lattice
+    under new labels, and the moduli of one divisor shape share every
+    cache (``ringbridge.ideal_lattice_zn``). The caches are stored in the
+    dict alone, so an instance keeps only its fields. ``product`` seeds
+    the dict with the componentwise residual table.
     """
 
     table: tuple[tuple[int, ...], ...]
     name: str = "L"
-    core: MultiplicativeLattice | None = field(default=None, repr=False)
-    prod_below: InitVar[tuple[tuple[int, ...], ...] | None] = None
-
-    def __post_init__(self, prod_below):
-        if prod_below is not None:
-            object.__setattr__(self, "_prod_below", prod_below)
+    derived: dict = field(default_factory=dict, repr=False)
 
     @property
     def lattice(self) -> MultiplicativeLattice:
@@ -138,11 +139,10 @@ class MultiplicativeLattice(FiniteLattice):
         return self
 
     def view(self, labels: tuple[str, ...] | None, name: str) -> MultiplicativeLattice:
-        """A view of this lattice's core under ``labels`` and ``name``."""
-        core = self.core or self
+        """This lattice under ``labels`` and ``name``, sharing its tables and ``derived``."""
         return MultiplicativeLattice(
-            core.order, core.bottom, core.top, core.meet_table, core.join_table,
-            labels, core.join_irreducibles, core.table, name, core,
+            self.order, self.bottom, self.top, self.meet_table, self.join_table,
+            labels, self.join_irreducibles, self.table, name, self.derived,
         )
 
     # -- multiplication ----------------------------------------------------
@@ -173,12 +173,12 @@ class MultiplicativeLattice(FiniteLattice):
 
     def residual(self, i: int, a: int) -> int:
         """(i : a), the largest x with x*a <= i."""
-        return (self.core or self)._prod_below[a][i]
+        return self._prod_below[a][i]
 
     def annihilator(self, a: int) -> int:
         return self.residual(self.bottom, a)
 
-    @_per_core
+    @_derived
     def _prod_below(self) -> tuple[tuple[int, ...], ...]:
         # _prod_below[a][i] = (i : a). Row bottom is all top. For q in J(L), the x
         # with x*q <= i form a down-set closed under joins, so (i : q) is the join
@@ -207,7 +207,7 @@ class MultiplicativeLattice(FiniteLattice):
 
     # -- escape masks --------------------------------------------------------
 
-    @_per_core
+    @_derived
     def _escape_sets(self) -> tuple[int, ...]:
         # F[a] = OR over q in J(L) of up[a*q] & ~up[q]: the i with a*q <= i and
         # q not <= i. Any b not <= i has such a q below it, since b is the join
@@ -222,7 +222,7 @@ class MultiplicativeLattice(FiniteLattice):
             out.append(acc)
         return tuple(out)
 
-    @_per_core
+    @_derived
     def _residual_movers(self) -> tuple[int, ...]:
         # E[i] = {a : (i : a) != i}, the complement of the a whose residual row
         # fixes i. On large lattices most residuals move i, so the fixed points
@@ -236,7 +236,7 @@ class MultiplicativeLattice(FiniteLattice):
         full = self.full_mask
         return tuple(full & ~f for f in fixers)
 
-    @_per_core
+    @_derived
     def _residual_values(self) -> tuple[int, ...]:
         # R[i] = {(i : a) : a not <= i}: column i's values but top, which
         # (i : a) takes exactly when a <= i.
@@ -246,18 +246,17 @@ class MultiplicativeLattice(FiniteLattice):
     def residual_witness(self, i: int, skip: int) -> tuple[int, int] | None:
         """``escape_witness(i, skip, down(i))`` in O(1): the first a outside skip with
         (i : a) != i, and the first b below (i : a) but not below i."""
-        core = self.core or self
-        movers = core._residual_movers[i] & ~skip
+        movers = self._residual_movers[i] & ~skip
         if not movers:
             return None
         a = (movers & -movers).bit_length() - 1
         down = self.order.down
-        bad = down[core._prod_below[a][i]] & ~down[i]
+        bad = down[self._prod_below[a][i]] & ~down[i]
         return a, (bad & -bad).bit_length() - 1
 
     # -- nilpotents, zero divisors, radicals --------------------------------
 
-    @_per_core
+    @_derived
     def _nil_mask(self) -> int:
         # The nilpotents are the down-set of radical(bottom), their join: y <= x
         # gives y^k <= x^k, and with x^p = y^q = bottom, (x v y)^(p+q-1) is a
@@ -265,12 +264,12 @@ class MultiplicativeLattice(FiniteLattice):
         return self.order.down[self.radical(self.bottom)]
 
     def nilpotents(self) -> frozenset[int]:
-        return frozenset(iter_bits((self.core or self)._nil_mask))
+        return frozenset(iter_bits(self._nil_mask))
 
     def is_reduced(self) -> bool:
-        return (self.core or self)._nil_mask == 1 << self.bottom
+        return self._nil_mask == 1 << self.bottom
 
-    @_per_core
+    @_derived
     def _zdiv_mask(self) -> int:
         # x is a zero divisor exactly when x*b = bottom for some b != bottom, so
         # exactly when x*q = bottom for some q in J(L) below b: bit bottom of F[x].
@@ -278,9 +277,9 @@ class MultiplicativeLattice(FiniteLattice):
         return mask_of(x for x, escapes in enumerate(self._escape_sets) if escapes >> bottom & 1)
 
     def zero_divisors(self) -> frozenset[int]:
-        return frozenset(iter_bits((self.core or self)._zdiv_mask))
+        return frozenset(iter_bits(self._zdiv_mask))
 
-    @_per_core
+    @_derived
     def _radicals(self) -> tuple[int, ...]:
         # Two independent formulas, cross-asserted; a mismatch means the table
         # validation is broken. Powers: the powers of x descend
@@ -313,7 +312,7 @@ class MultiplicativeLattice(FiniteLattice):
         return tuple(by_powers)
 
     def radical(self, a: int) -> int:
-        return (self.core or self)._radicals[a]
+        return self._radicals[a]
 
     # -- prime / primary / maximal ------------------------------------------
 
@@ -324,7 +323,7 @@ class MultiplicativeLattice(FiniteLattice):
         suite's L12 use this O(n) scan; where keep is down(i), as for the
         X-element and prime witnesses, ``residual_witness`` gives the same pair.
         """
-        below, down = (self.core or self)._prod_below, self.order.down
+        below, down = self._prod_below, self.order.down
         for a in range(self.size):
             if skip >> a & 1:
                 continue
@@ -341,9 +340,9 @@ class MultiplicativeLattice(FiniteLattice):
         return self.residual_witness(p, self.order.down[p])
 
     def is_prime(self, p: int) -> bool:
-        return bool((self.core or self)._prime_mask >> p & 1)
+        return bool(self._prime_mask >> p & 1)
 
-    @_per_core
+    @_derived
     def _prime_mask(self) -> int:
         # A proper p is not prime exactly when q1*q2 <= p for some q1 and q2 in
         # J(L), neither below p: an a not <= p has such a q below it, and the
@@ -356,7 +355,7 @@ class MultiplicativeLattice(FiniteLattice):
         return self.full_mask & ~not_prime
 
     def prime_elements(self) -> frozenset[int]:
-        return frozenset(iter_bits((self.core or self)._prime_mask))
+        return frozenset(iter_bits(self._prime_mask))
 
     def primary_witness(self, i: int) -> tuple[int, int] | None:
         """First (a, b) with a*b <= i, a not<= i and b not<= radical(i)."""
@@ -376,7 +375,7 @@ class MultiplicativeLattice(FiniteLattice):
     def is_maximal(self, m: int) -> bool:
         return m != self.top and self.maximal_witness(m) is None
 
-    @_per_core
+    @_derived
     def _max_mask(self) -> int:
         if self.size == 1:
             raise DegenerateLattice("one-element lattice has no maximal elements")
@@ -389,23 +388,17 @@ class MultiplicativeLattice(FiniteLattice):
         return out
 
     def max_elements(self) -> frozenset[int]:
-        return frozenset(iter_bits((self.core or self)._max_mask))
+        return frozenset(iter_bits(self._max_mask))
 
     def jacobson(self) -> int:
-        return (self.core or self)._jacobson
+        return self._jacobson
 
-    @_per_core
+    @_derived
     def _jacobson(self) -> int:
         return self.big_meet(iter_bits(self._max_mask))
 
-    @_per_core
-    def _x_masks(self) -> dict[int, int]:
-        # X.mask -> the X-elements as a mask, filled by classify.x_element_mask:
-        # they read only X's members and the escape masks.
-        return {}
-
     def min_primes(self) -> frozenset[int]:
-        primes = (self.core or self)._prime_mask
+        primes = self._prime_mask
         down = self.order.down
         return frozenset(
             p for p in iter_bits(primes) if down[p] & primes == 1 << p
@@ -425,7 +418,7 @@ def attach_multiplication(
     table: Iterable[Iterable[int]],
     name: str = "L",
 ) -> MultiplicativeLattice:
-    """Validate every axiom; return a view, under the lattice's labels and ``name``, of a new core.
+    """Validate every axiom; return the lattice, under its labels and ``name``, with ``table``.
 
     Checks, in order: entry range, commutativity, top identity, bottom
     annihilation, distribution over binary joins, and associativity.
@@ -477,11 +470,10 @@ def attach_multiplication(
     ):
         _full_axiom_scan(lattice, rows)
         raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
-    core = MultiplicativeLattice(
+    return MultiplicativeLattice(
         lattice.order, lattice.bottom, lattice.top, lattice.meet_table, lattice.join_table,
-        None, lattice.join_irreducibles, rows,
+        lattice.labels, lattice.join_irreducibles, rows, name,
     )
-    return core.view(lattice.labels, name)
 
 
 def _distributes_over_irreducibles(
@@ -567,7 +559,7 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
       element when one coordinate is bottom and the other is join-irreducible:
       J(A x B) = J(A) x {bottom} u {bottom} x J(B).
 
-    Returns a view of the new core under those labels and ``name``.
+    The residual table goes into ``derived`` at construction.
     Raises ValueError when two label pairs join to the same label.
     """
     k1, k2 = A.size, B.size
@@ -596,21 +588,21 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
         spread = [sum(full_b << (x1 * k2) for x1 in iter_bits(m)) for m in rows_a]
         return tuple(s & (m * tile) for s in spread for m in rows_b)
 
-    core = MultiplicativeLattice(
+    return MultiplicativeLattice(
         order=PartialOrder(n, masks(A.order.up, B.order.up), masks(A.order.down, B.order.down)),
         bottom=A.bottom * k2 + B.bottom,
         top=A.top * k2 + B.top,
         meet_table=combine(A.meet_table, B.meet_table),
         join_table=combine(A.join_table, B.join_table),
-        labels=None,
+        labels=labels,
         join_irreducibles=tuple(sorted(
             [q * k2 + B.bottom for q in A.join_irreducibles]
             + [A.bottom * k2 + q for q in B.join_irreducibles]
         )),
         table=combine(A.table, B.table),
-        prod_below=combine((A.core or A)._prod_below, (B.core or B)._prod_below),
+        name=name,
+        derived={"_prod_below": combine(A._prod_below, B._prod_below)},
     )
-    return core.view(labels, name)
 
 
 def _picker(indices: tuple[int, ...]):

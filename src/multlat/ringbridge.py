@@ -5,12 +5,12 @@ reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
 is gcd(d1*d2, n). These tables depend only on the exponent vectors of the
 divisors, so n's lattice is the lattice of its *shape* (n's ascending
 divisors with its i-th prime renamed to the i-th prime; the proof is in
-``ideal_lattice_zn``), relabelled. Each shape's label-free core is built
-once from its covers, (d) above (d*p) for each prime p, and validated by
-``attach_multiplication``, and each modulus is a view of it, so the caches
+``ideal_lattice_zn``), relabelled. Each shape's lattice is built once,
+without labels, from its covers, (d) above (d*p) for each prime p, and
+validated by ``attach_multiplication``. Each modulus is its ``view`` under
+the modulus's labels, which shares the ``derived`` dict, so the caches
 derived from the tables are computed once per shape too; zn:2..1000 has 131
-shapes. Since
-Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
+shapes. Since Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
 ``multiplicative.product`` of the two, built componentwise with nothing
 validated again. The ring side never touches that encoding: it works on
 actual ring elements through ``ring_elements``, ``mul``, ``one``, ``zero``,
@@ -242,9 +242,9 @@ def _shape(divs: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
-    """The validated core of the lattice indexed by ``shape``, the divisors of shape[-1].
+    """The validated lattice indexed by ``shape``, the divisors of shape[-1].
 
-    (d) covers (d*p) for each prime p. The core has no labels;
+    (d) covers (d*p) for each prime p. It has no labels;
     ``ideal_lattice_zn`` views it under each modulus's own.
     """
     modulus = shape[-1]
@@ -253,7 +253,7 @@ def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
     covers = [(index[d * p], i) for i, d in enumerate(shape) for p in primes if modulus % (d * p) == 0]
     table = [[index[gcd(d * e, modulus)] for e in shape] for d in shape]
     lattice = validate_lattice(build_order(len(shape), covers))
-    return attach_multiplication(lattice, table).core
+    return attach_multiplication(lattice, table)
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
@@ -274,11 +274,12 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     meet, join and multiplication tables built from the shape equal those
     of n index for index, bottom (0) and top (1) included; only the labels
     and the name differ. Moduli of one shape (6 and 10, 12 and 45) share
-    one label-free core, built and validated once by ``_shape_lattice``,
-    and each modulus is a view of it under its own labels and name. So they
-    share its tables, J(L) and every cache derived from them (residual
-    table, escape masks, radicals, primes, maxima, the Jacobson radical and
-    the X-element masks), each computed once per shape.
+    one lattice, built and validated once by ``_shape_lattice``, and each
+    modulus is its ``view`` under the modulus's labels and name. So they
+    share its tables, J(L) and its ``derived`` dict, which holds every
+    cache derived from them (residual table, escape masks, radicals,
+    primes, maxima, the Jacobson radical and the X-element masks), each
+    computed once per shape.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")

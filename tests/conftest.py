@@ -169,7 +169,7 @@ def zn_lattice_oracle(n):
     return attach_multiplication(lattice, table, name=f"zn:{n}")
 
 
-CORE_CACHES = (
+DERIVED_CACHES = (
     "_prod_below", "_escape_sets", "_residual_movers", "_residual_values",
     "_radicals", "_prime_mask", "_max_mask", "_zdiv_mask", "_nil_mask",
 )
@@ -178,7 +178,7 @@ CORE_CACHES = (
 def assert_same_derived_data(M, W):
     """M's caches equal W's, and so do the Jacobson radical and the X-element
     mask of each canonical set; M and W share one numbering."""
-    for attr in CORE_CACHES:
+    for attr in DERIVED_CACHES:
         assert getattr(M, attr) == getattr(W, attr), (M.name, attr)
     assert M.jacobson() == W.jacobson(), M.name
     for (letter, X), Y in zip(canonical_sets(M).items(), canonical_sets(W).values()):

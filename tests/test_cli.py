@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +372,20 @@ def test_main_builds_no_parser(capsys, monkeypatch, lattice_dir):
     assert built == []
     cli._build_parser()
     assert len(built) == 1 + len(COMMANDS)  # the counter sees every construction
+
+
+# -- scripts ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("modulus", ["1", "0"])
+def test_mutation_audit_rejects_a_modulus_below_2(modulus):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "mutation_audit.py"), "--zn", modulus],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"--zn must be at least 2, got {modulus}" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -149,9 +149,10 @@ def test_max_mask_matches_the_per_element_scan(corpus):
 
 def test_search_and_cross_validate_never_build_the_residual_table():
     # Freshly built zn lattices and meet chains, so no other test has read
-    # their residual tables; the caches are the cores', and the shape cache is
-    # emptied so the zn cores are fresh too. Products are left out: ``product``
-    # gives its core the residual table it builds from its factors.
+    # their residual tables; moduli of one shape share ``derived``, and the
+    # shape cache is emptied so those dicts are fresh too. Products are left
+    # out: ``product`` seeds ``derived`` with the residual table it builds
+    # from its factors.
     ringbridge._shape_lattice.cache_clear()
     lattices = [ideal_lattice_zn.__wrapped__(n)[0] for n in range(2, 301)]
     lattices += [chain_lattice.__wrapped__(n, "meet") for n in range(2, 9)]
@@ -161,8 +162,8 @@ def test_search_and_cross_validate_never_build_the_residual_table():
     for M, model in ring_side:
         cross_validate(M, model)
     for M in lattices + [M for M, _ in ring_side]:
-        assert "_escape_sets" in vars(M.core), M.name
-        assert "_prod_below" not in vars(M.core) and "_residual_movers" not in vars(M.core), M.name
+        assert "_escape_sets" in M.derived, M.name
+        assert "_prod_below" not in M.derived and "_residual_movers" not in M.derived, M.name
 
 
 def test_witnesses_match_the_per_element_scan(corpus):

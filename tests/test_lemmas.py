@@ -4,6 +4,7 @@ import pytest
 
 from multlat import (
     DegenerateLattice,
+    MultiplicativeLattice,
     canonical_sets,
     chain_lattice,
     downset_m_closed,
@@ -25,6 +26,26 @@ from conftest import div_index, x_set_instances
 
 def assert_suite_passes(report):
     assert report.passed, "\n".join(c.render() for c in report.failures())
+
+
+def test_suite_reads_the_maxima_a_fixed_number_of_times(monkeypatch):
+    # Each check reads max_elements() at most once, so the count per suite
+    # does not grow with the number of elements (6 to 240 here).
+    calls = []
+    real = MultiplicativeLattice.max_elements
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(MultiplicativeLattice, "max_elements", counting)
+    counts = []
+    for M in (ideal_lattice_zn(12)[0], ideal_lattice_zn(360)[0],
+              ideal_lattice_product(12, 30)[0], ideal_lattice_zn(720720)[0]):
+        calls.clear()
+        assert_suite_passes(lemma_suite(M))
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 4 and counts[0] <= 6, counts
 
 
 def test_suite_z12(z12):

@@ -38,7 +38,7 @@ from multlat import (
     trivial_mult,
     validate_lattice,
 )
-from multlat import multiplicative
+from multlat import multiplicative, ringbridge
 from multlat.ringbridge import cross_validate
 from multlat.search import PROPERTIES, search_corpus
 from multlat.order import iter_bits, mask_of
@@ -304,10 +304,11 @@ def test_residual_table_lookups_are_bounded():
         n, j = M.size, len(M.join_irreducibles)
         assert n * j * j + n * n == bound
         reads = [0]
-        twin = dataclasses.replace(  # a fresh core: nothing cached
-            M.core,
+        twin = dataclasses.replace(  # nothing cached: a new ``derived``
+            M,
             join_table=tuple(CountingRow(r, reads) for r in M.join_table),
             meet_table=tuple(CountingRow(r, reads) for r in M.meet_table),
+            derived={},
         )
         assert twin._prod_below == M._prod_below
         assert 0 < reads[0] <= bound, (M.name, reads[0])
@@ -397,13 +398,13 @@ def test_radicals_match_the_literal_definitions():
 
 
 def test_radical_mismatch_names_the_first_disagreement():
-    # A prime mask that lacks the prime (3), seeded into the core before
+    # A prime mask that lacks the prime (3), seeded into ``derived`` before
     # _radicals is read, makes the prime formula disagree with the powers at
     # several a; the error names the first of them in index order.
     M = ideal_lattice_zn(72)[0]
     fresh = attach_multiplication(M, M.table, M.name)
     seeded = [p for p in M.prime_elements() if p != div_index(M, "(3)")]
-    vars(fresh.core)["_prime_mask"] = mask_of(seeded)
+    fresh.derived["_prime_mask"] = mask_of(seeded)
     by_powers, by_primes = _literal_radicals(fresh, seeded)
     disagree = [a for a in range(M.size) if by_powers[a] != by_primes[a]]
     assert len(disagree) > 1 and disagree[0] > 0
@@ -663,8 +664,8 @@ def assert_product_matches_oracle(A, B, brute_force=True):
     assert (M.bottom, M.top, M.name) == (lattice.bottom, lattice.top, f"{A.name}x{B.name}")
     if brute_force:
         assert brute_force_axioms_hold(lattice, table)
-    # product gives its core the residual table and passes J(L) on; recompute both.
-    assert M._prod_below == MultiplicativeLattice._prod_below.func(M.core) == oracle._prod_below
+    # product seeds ``derived`` with the residual table and passes J(L) on; recompute both.
+    assert M._prod_below == dataclasses.replace(M, derived={})._prod_below == oracle._prod_below
     k2 = B.size
     formula = sorted([q * k2 + B.bottom for q in A.join_irreducibles]
                      + [A.bottom * k2 + q for q in B.join_irreducibles])
@@ -673,8 +674,8 @@ def assert_product_matches_oracle(A, B, brute_force=True):
 
 
 def test_views_store_nothing_after_they_are_built():
-    # The library reads every cache off the core, so the commands leave a
-    # view with its fields only: its caches are its core's.
+    # Every cache is kept in ``derived``, so the commands leave each lattice
+    # with its fields only.
     fields = {f.name for f in dataclasses.fields(MultiplicativeLattice)}
     zn = [ideal_lattice_zn.__wrapped__(n) for n in (12, 360, 5040)]
     views = [M for M, _ in zn] + [
@@ -688,14 +689,53 @@ def test_views_store_nothing_after_they_are_built():
         for name in PROPERTIES:
             search_corpus([M], name)
         hasse_dot(M, tuple(canonical_sets(M).values()))
-        assert M.core is not None and vars(M).keys() == fields, M.name
+        assert M.derived and vars(M).keys() == fields, M.name
     for M, model in zn:
         cross_validate(M, model)
         assert vars(M).keys() == fields, M.name
 
 
+def test_each_build_makes_one_lattice_object(monkeypatch):
+    # attach_multiplication, product and the builders on top of them make one
+    # MultiplicativeLattice each; a cold zn build makes two, the unlabelled
+    # shape lattice and its view under the modulus's labels. None of them
+    # stores a cache on the instance.
+    made = []
+    init = MultiplicativeLattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def made_by(build):
+        made.clear()
+        M = build()
+        return M, len(made)
+
+    z12, z30 = ideal_lattice_zn(12)[0], ideal_lattice_zn(30)[0]
+    monkeypatch.setattr(MultiplicativeLattice, "__init__", counting_init)
+    ringbridge._shape_lattice.cache_clear()
+    ideal_lattice_zn.cache_clear()
+    builds = {
+        "cold zn:360": (lambda: ideal_lattice_zn(360)[0], 2),
+        "warm zn:360": (lambda: ideal_lattice_zn.__wrapped__(360)[0], 1),
+        "cold prod:12,30": (lambda: ideal_lattice_product.__wrapped__(12, 30)[0], 5),
+        "attach_multiplication": (lambda: attach_multiplication(z12, z12.table, "again"), 1),
+        "product": (lambda: product(z12, z30, "z12 x z30"), 1),
+        "chain_lattice": (lambda: chain_lattice.__wrapped__(5, "meet"), 1),
+        "load_path": (lambda: load_path(LATTICE_DIR / "n5-top.lat")[0], 1),
+    }
+    fields = {f.name for f in dataclasses.fields(MultiplicativeLattice)}
+    for what, (build, count) in builds.items():
+        M, objects = made_by(build)
+        assert objects == count, what
+        lemma_suite(M)
+        classify_lattice(M)
+        assert vars(M).keys() == fields, what
+
+
 def test_products_match_the_generic_build():
-    # Every cache of a componentwise core, the residual table it was given
+    # Every cache of a componentwise product, the residual table it was seeded with
     # included, against the generic attach_multiplication build of A x B.
     n5, z72, z5040 = n5_plus_top(), ideal_lattice_zn(72)[0], ideal_lattice_zn(5040)[0]
     for M, A, B in ((ideal_lattice_product(72, 72)[0], z72, z72),

@@ -525,7 +525,7 @@ def test_products_validate_only_their_factors(monkeypatch, moduli):
                 if hasattr(module, name):
                     patch.setattr(module, name, forbidden)
         M = ideal_lattice_product.__wrapped__(*moduli)[0]
-    assert {"_prod_below", "join_irreducibles"} <= vars(M.core).keys()
+    assert "_prod_below" in M.derived and "join_irreducibles" in vars(M)
 
     calls = []
 
@@ -576,15 +576,15 @@ def test_large_moduli_match_the_per_modulus_build(n):
 
 
 def test_a_fresh_search_derives_each_shape_once(monkeypatch):
-    # The derived caches are the shape cores': a fresh search over zn:2..1000
-    # computes each of them once per shape, 131 times, not once per modulus.
+    # Moduli of one shape share ``derived``: a fresh search over zn:2..1000
+    # computes each cache once per shape, 131 times, not once per modulus.
     computed = Counter()
 
     def counting(name):
         real = vars(MultiplicativeLattice)[name].func
 
         def count(M):
-            if M.core is None:
+            if name not in M.derived:
                 computed[name] += 1
             return real(M)
 
@@ -618,20 +618,25 @@ def test_a_fresh_search_validates_each_shape_once(monkeypatch):
     assert hits and len(attached) == 131
 
 
-def test_moduli_of_one_shape_share_the_tables_not_the_labels():
+def test_moduli_of_one_shape_share_the_tables_not_the_labels(monkeypatch):
     # Built here, one after another, so both read the shape cache's entry.
     build = ideal_lattice_zn.__wrapped__
     M6, M10 = build(6)[0], build(10)[0]
     assert M6.table is M10.table and M6.meet_table is M10.meet_table
     assert M6.order is M10.order
-    # One label-free core, whose caches both views read; a view of a view
-    # is a view of the same core.
-    assert M6.core is M10.core and M6.core.labels is None
-    assert M6._escape_sets is M10._escape_sets is vars(M6.core)["_escape_sets"]
-    assert M6.view(M10.labels, "zn:10").core is M6.core
-    # X-element masks are kept on the core, per member mask.
+    # Both are views of the unlabelled shape lattice and share its caches;
+    # a view of a view shares them too.
+    shared = ringbridge._shape_lattice(ringbridge._shape(divisors(6)))
+    assert M6.derived is M10.derived is shared.derived and shared.labels is None
+    assert M6._escape_sets is M10._escape_sets is M6.derived["_escape_sets"]
+    assert M6.view(M10.labels, "zn:10").derived is M6.derived
+    # X-element masks are kept in ``derived``, per member mask: the other
+    # modulus finds it there and reads no escape mask.
     X = nil_downset(M6)
-    assert M10.core._x_masks[X.mask] == x_element_mask(M6, X) == x_element_mask(M10, X)
+    found = x_element_mask(M6, X)
+    monkeypatch.delitem(M6.derived, "_escape_sets")
+    assert x_element_mask(M10, X) == found == M10.derived[("x_element_mask", X.mask)]
+    assert "_escape_sets" not in M10.derived
     assert M6.labels == ("(1)", "(2)", "(3)", "(0)")
     assert M10.labels == ("(1)", "(2)", "(5)", "(0)")
     assert (M6.name, M10.name) == ("zn:6", "zn:10")
