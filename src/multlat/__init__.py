@@ -19,7 +19,6 @@ from .classify import (
     make_x_mult_closed,
     maximal_x_avoiding,
     nil_downset,
-    prime_meet_downset,
     principal_generator,
     x_element_mask,
     x_elements,

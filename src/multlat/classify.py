@@ -129,12 +129,6 @@ def jacobson_downset(M: MultiplicativeLattice, name: str = "jrad") -> MClosedSet
     return downset_m_closed(M, M.jacobson(), name)
 
 
-def prime_meet_downset(M: MultiplicativeLattice, name: str = "pmeet") -> MClosedSet:
-    """Down-set of the meet of all primes: radical(bottom), as ``_radicals``
-    asserts, so the nil down-set under another name."""
-    return nil_downset(M, name)
-
-
 CANONICAL_SETS = {"r": zero_divisor_set, "n": nil_downset, "j": jacobson_downset}
 """The sets behind r-, n- and J-elements, keyed by letter; each takes (M, name)."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classify import CANONICAL_SETS, MClosedSet, NotMClosed, NotXMultClosed, downset_m_closed
+from .classify import MClosedSet, NotMClosed, NotXMultClosed, canonical_sets, downset_m_closed
 from .corpus import CORPUS_KINDS, Instance, parse_corpus_spec
 from .dot import hasse_dot
 from .lemmas import lemma_suite
@@ -40,10 +40,6 @@ _STRUCTURE_ERRORS = (
 )
 
 
-XSET_ARGS = {"zdiv": "r", "nil": "n", "jrad": "j"}
-"""``--x`` keywords for the canonical sets, mapped to their ``CANONICAL_SETS`` letter."""
-
-
 def _one_instance(spec: str) -> Instance:
     """The single (lattice, ring model) pair a corpus spec names; a range is rejected unbuilt."""
     parsed = parse_corpus_spec(spec)
@@ -62,18 +58,20 @@ def resolve_target(target: str) -> tuple[MultiplicativeLattice, dict[str, MClose
 def resolve_xset(
     M: MultiplicativeLattice, named: dict[str, MClosedSet], arg: str
 ) -> MClosedSet:
+    """A declared set, ``downset:<label>``, or a canonical set by its default name."""
     if arg in named:
         return named[arg]
-    if arg in XSET_ARGS:
-        return CANONICAL_SETS[XSET_ARGS[arg]](M)
     if arg.startswith("downset:"):
         label = arg.split(":", 1)[1]
         try:
             return downset_m_closed(M, M.index_of(label))
         except ValueError:
             raise ValueError(f"unknown element label {label!r}") from None
+    canonical = {X.name: X for X in canonical_sets(M).values()}
+    if arg in canonical:
+        return canonical[arg]
     raise ValueError(
-        f"unknown set {arg!r}: expected a declared set name, zdiv, nil, jrad "
+        f"unknown set {arg!r}: expected a declared set name, {', '.join(canonical)} "
         f"or downset:<label>"
     )
 

@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
 
-from .classify import canonical_sets, distinct_sets, x_elements
+from .classify import CANONICAL_SETS, canonical_sets, x_element_mask
 from .multiplicative import MultiplicativeLattice, attach_multiplication, product
 from .order import build_order, validate_lattice
 from .report import _yn
@@ -72,16 +72,28 @@ class CrossValidationMismatch(RuntimeError):
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """Ascending divisors of n, by trial division up to sqrt(n)."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    """Ascending divisors of n, generated from its factorization.
+
+    Trial division by p = 2, 3, 5, 7, ... (2, then the odd numbers) divides
+    each prime p out of n with its exponent k and multiplies the divisors
+    found so far by p, ..., p^k. It stops once p*p exceeds the remaining
+    cofactor, which is then 1 or a prime. So a smooth n takes a few steps
+    (10**18, with 361 divisors, takes three), where testing every d up to
+    sqrt(n) takes 10**9.
+    """
+    divs, rest, p = [1], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            layer = divs
+            while rest % p == 0:
+                rest //= p
+                layer = [d * p for d in layer]
+                divs += layer
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        divs += [d * rest for d in divs]
+    divs.sort()
+    return tuple(divs)
 
 
 def _ideal_label(d: int, modulus: int) -> str:
@@ -424,13 +436,11 @@ def ring_is_j_ideal(model, index: int) -> bool:
 
 @dataclass(frozen=True)
 class CrossValidationRow:
+    """One proper ideal's r, n and J verdicts, in ``CANONICAL_SETS`` order."""
+
     ideal: str
-    ring_r: bool
-    ring_n: bool
-    ring_j: bool
-    lattice_r: bool
-    lattice_n: bool
-    lattice_j: bool
+    ring: tuple[bool, bool, bool]
+    lattice: tuple[bool, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -441,11 +451,9 @@ class CrossValidationReport:
     def render(self) -> str:
         lines = [f"cross-validation {self.name}: ring vs lattice on {len(self.rows)} proper ideals"]
         for row in self.rows:
-            lines.append(
-                f"  {row.ideal}: r={_yn(row.ring_r)}/{_yn(row.lattice_r)}"
-                f" n={_yn(row.ring_n)}/{_yn(row.lattice_n)}"
-                f" j={_yn(row.ring_j)}/{_yn(row.lattice_j)}"
-            )
+            verdicts = zip(CANONICAL_SETS, row.ring, row.lattice)
+            pairs = " ".join(f"{x}={_yn(ring)}/{_yn(lattice)}" for x, ring, lattice in verdicts)
+            lines.append(f"  {row.ideal}: {pairs}")
         lines.append("  all classifications agree")
         return "\n".join(lines)
 
@@ -453,33 +461,20 @@ class CrossValidationReport:
 def cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
     """Classify every proper ideal of ``model`` on the ring and on its lattice M.
 
-    The lattice side decides each distinct canonical set's X-elements once;
-    nil = jrad on every ring lattice, as a finite ring's Jacobson radical is
-    its nilradical.
+    The lattice side reads a bit of each canonical set's X-element mask,
+    memoized per distinct set; nil = jrad on every ring lattice, as a
+    finite ring's Jacobson radical is its nilradical.
     """
-    sets = canonical_sets(M)
-    xels_of = {X.members: x_elements(M, X) for X in distinct_sets(sets.values())}
+    masks = [x_element_mask(M, X) for X in canonical_sets(M).values()]
     labels = model.labels()
     rows = []
     for idx in model.proper_indices():
-        ring_flags = {
-            "r": ring_is_r_ideal(model, idx),
-            "n": ring_is_n_ideal(model, idx),
-            "j": ring_is_j_ideal(model, idx),
-        }
-        lattice_flags = {letter: idx in xels_of[X.members] for letter, X in sets.items()}
-        for which in ("r", "n", "j"):
-            if ring_flags[which] != lattice_flags[which]:
-                raise CrossValidationMismatch(
-                    M.name, labels[idx], which, ring_flags[which], lattice_flags[which]
-                )
-        rows.append(
-            CrossValidationRow(
-                labels[idx],
-                ring_flags["r"], ring_flags["n"], ring_flags["j"],
-                lattice_flags["r"], lattice_flags["n"], lattice_flags["j"],
-            )
-        )
+        ring = (ring_is_r_ideal(model, idx), ring_is_n_ideal(model, idx), ring_is_j_ideal(model, idx))
+        lattice = tuple(bool(mask >> idx & 1) for mask in masks)
+        for which, ring_says, lattice_says in zip(CANONICAL_SETS, ring, lattice):
+            if ring_says != lattice_says:
+                raise CrossValidationMismatch(M.name, labels[idx], which, ring_says, lattice_says)
+        rows.append(CrossValidationRow(labels[idx], ring, lattice))
     return CrossValidationReport(M.name, tuple(rows))
 
 

@@ -20,7 +20,7 @@ from multlat import (
     load_path,
     trivial_mult,
 )
-from multlat.classify import canonical_sets, x_element_mask, x_mult_closed_witness
+from multlat.classify import canonical_sets, downset_m_closed, x_element_mask, x_mult_closed_witness
 from multlat.order import build_order, iter_bits, validate_lattice
 from multlat.ringbridge import divisors
 
@@ -196,6 +196,15 @@ def join_irreducibles_oracle(M):
     for _, y in M.covers():
         lower_covers[y] += 1
     return tuple(q for q, count in enumerate(lower_covers) if count == 1)
+
+
+def prime_meet_downset(M):
+    """The down-set of the meet of all primes, named "pmeet", from the definition.
+
+    The library reads this set as the nil down-set, the down-set of
+    radical(bottom); this builds it from ``prime_elements`` instead.
+    """
+    return downset_m_closed(M, M.big_meet(M.prime_elements()), "pmeet")
 
 
 def residual_characterization(M, X, i) -> bool:

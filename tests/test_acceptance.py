@@ -24,14 +24,15 @@ from multlat import (
     load_path,
     make_m_closed,
     nil_downset,
-    prime_meet_downset,
     x_elements,
     zero_divisor_set,
 )
 from multlat.classify import NotMClosed
 from multlat.cli import main
 from multlat.corpus import PRODUCT_MODULI, acceptance_corpus, chain_lattice
-from conftest import brute_force_axioms_hold, div_index, is_prime_power, m3_plus_top, n5_plus_top
+from conftest import (
+    brute_force_axioms_hold, div_index, is_prime_power, m3_plus_top, n5_plus_top, prime_meet_downset,
+)
 
 
 @contextlib.contextmanager

@@ -101,7 +101,25 @@ def test_classify_output_deterministic(capsys):
 
 def test_classify_bad_set_name(capsys):
     code, _, err = run_cli(capsys, "classify", "zn:12", "--x", "bogus")
-    assert code == 2 and "bogus" in err
+    assert code == 2
+    assert err == (
+        "error: unknown set 'bogus': expected a declared set name, zdiv, nil, jrad "
+        "or downset:<label>\n"
+    )
+
+
+def test_declared_sets_shadow_the_canonical_names(tmp_path):
+    # A file may declare a set under a canonical set's default name; --x
+    # then means the declared set.
+    f = tmp_path / "chain.lat"
+    f.write_text(
+        "elements: c0 c1 c2 c3\norder: c0 < c1\norder: c1 < c2\norder: c2 < c3\n"
+        "multiplication: meet\nxset jrad: c0 c1\n"
+    )
+    M, named = cli.resolve_target(str(f))
+    X = cli.resolve_xset(M, named, "jrad")
+    assert X is named["jrad"] and X.members == {0, 1}
+    assert cli.resolve_xset(M, {}, "jrad").members == {0, 1, 2}
 
 
 def test_classify_bad_target(capsys):

@@ -15,13 +15,12 @@ from multlat import (
     lattice_from_pairs,
     lemma_suite,
     make_m_closed,
-    prime_meet_downset,
     trivial_mult,
     x_elements,
 )
 from multlat.classify import distinct_sets
 from multlat.lemmas import CheckResult, _check_l4, _lbl
-from conftest import div_index, x_set_instances
+from conftest import div_index, prime_meet_downset, x_set_instances
 
 
 def assert_suite_passes(report):
@@ -101,8 +100,6 @@ def test_l3_l4_local_vs_not():
 
 
 def test_l10_statements_on_known_instances(z12, z15):
-    from multlat import prime_meet_downset
-
     for M, expect in ((z12, False), (z15, False), (ideal_lattice_zn(8)[0], True)):
         X = prime_meet_downset(M)
         exists = bool(x_elements(M, X))
@@ -218,27 +215,6 @@ def test_l10_reads_the_suites_prime_meet_x_elements(z12, z15, kite, monkeypatch)
         raise AssertionError("x_elements called during lemma_suite")
 
     monkeypatch.setattr(classify, "x_elements", no_rescan)
-    for M in instances:
-        report = lemma_suite(M)
-        assert_suite_passes(report)
-        assert report.render() == want[M.name]
-
-
-def test_suite_builds_no_prime_meet_downset(z12, z15, kite, monkeypatch):
-    # The prime-meet down-set is the nil down-set (radical(bottom) is the
-    # meet of all primes), so the suite reads L10 and L11 off the nil set.
-    import multlat.classify as classify
-    import multlat.lemmas as lemmas
-    from conftest import n5_plus_top
-
-    instances = (z12, z15, kite, ideal_lattice_zn(8)[0], chain_lattice(5, "meet"), n5_plus_top())
-    want = {M.name: lemma_suite(M).render() for M in instances}
-
-    def no_build(M, name="pmeet"):
-        raise AssertionError("prime_meet_downset called during lemma_suite")
-
-    monkeypatch.setattr(classify, "prime_meet_downset", no_build)
-    monkeypatch.setattr(lemmas, "prime_meet_downset", no_build, raising=False)
     for M in instances:
         report = lemma_suite(M)
         assert_suite_passes(report)

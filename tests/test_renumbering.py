@@ -29,17 +29,25 @@ from multlat import (
     render_spec,
     x_elements,
 )
-from conftest import m3_plus_top, n5_plus_top
+from conftest import m3_plus_top, n5_plus_top, x_set_instances
 
 
 def renumbering_instances():
-    yield m3_plus_top()
-    yield n5_plus_top()
-    yield kite_lattice()
-    yield chain_lattice(6, "meet")
-    yield ideal_lattice_zn(360)[0]
-    yield ideal_lattice_product(4, 9)[0]
-    yield product(n5_plus_top(), ideal_lattice_zn(12)[0], name="N5+top*zn:12")
+    """Every distinct lattice of ``x_set_instances()``, then K, zn:360,
+    prod:4,9 and N5+top x zn:12."""
+    extra = (
+        m3_plus_top(),
+        n5_plus_top(),
+        kite_lattice(),
+        chain_lattice(6, "meet"),
+        ideal_lattice_zn(360)[0],
+        ideal_lattice_product(4, 9)[0],
+        product(n5_plus_top(), ideal_lattice_zn(12)[0], name="N5+top*zn:12"),
+    )
+    distinct = {}
+    for M in (*x_set_instances(), *extra):
+        distinct.setdefault((M.labels, M.order.down, M.table), M)
+    return distinct.values()
 
 
 def renumbered(M, perm):
@@ -85,7 +93,7 @@ def expected():
 
 
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=10, deadline=None)
 def test_renumbering_changes_no_answer(expected, data):
     for M, facts in expected:
         perm = data.draw(st.permutations(range(M.size)), label=M.name)

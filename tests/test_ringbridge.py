@@ -95,6 +95,29 @@ def test_divisors_match_brute_force():
     assert divisors(100000007) == (1, 100000007)
 
 
+def test_divisors_of_a_smooth_huge_modulus():
+    # 2^18 * 5^18: 19 * 19 divisors, from the factorization rather than a
+    # scan of every d up to 10**9.
+    divs = divisors(10**18)
+    assert len(divs) == 361
+    assert all(10**18 % d == 0 for d in divs)
+    assert all(a < b for a, b in zip(divs, divs[1:]))
+    assert (divs[0], divs[-1]) == (1, 10**18)
+
+
+def test_every_ring_row_is_an_r_ideal_and_n_agrees_with_j():
+    # In a finite commutative ring every non-zero-divisor is a unit, so every
+    # proper ideal is an r-ideal; the nilradical is the Jacobson radical, so
+    # the n and J columns agree. Both routes say so on every row.
+    reports = [cross_validate_zn(n) for n in range(2, 401)]
+    reports += [cross_validate_product(m, n) for m in PRODUCT_MODULI for n in PRODUCT_MODULI]
+    rows = [row for report in reports for row in report.rows]
+    assert len(rows) == 2321
+    for row in rows:
+        for r, n, j in (row.ring, row.lattice):
+            assert r and n == j, row
+
+
 def test_modulus_must_be_at_least_two():
     with pytest.raises(ValueError):
         ideal_lattice_zn(1)
@@ -189,7 +212,23 @@ def test_forced_mismatch_is_detected_for_r_and_j(monkeypatch, which):
     monkeypatch.setattr(rb, name, lambda model, idx: not real(model, idx))
     with pytest.raises(CrossValidationMismatch) as caught:
         rb.cross_validate_zn(12)
-    assert caught.value.which == which
+    # The first proper ideal already disagrees; the lattice keeps the true verdict.
+    _, model = ideal_lattice_zn(12)
+    first = model.proper_indices()[0]
+    truth = real(model, first)
+    assert (caught.value.which, caught.value.ideal) == (which, model.labels()[first])
+    assert str(caught.value).endswith(f"(ring {not truth}, lattice {truth})")
+
+
+def test_rows_render_their_verdicts_in_r_n_j_order():
+    # On a ring the n and J verdicts always agree, so only a hand-built row
+    # shows which letter each tuple position is written under.
+    row = ringbridge.CrossValidationRow("(2)", (True, False, True), (True, False, True))
+    assert ringbridge.CrossValidationReport("zn:4", (row,)).render() == "\n".join([
+        "cross-validation zn:4: ring vs lattice on 1 proper ideals",
+        "  (2): r=yes/yes n=no/no j=yes/yes",
+        "  all classifications agree",
+    ])
 
 
 @pytest.mark.parametrize("model_class", [ZnIdealModel, ProductRingModel])
@@ -412,19 +451,21 @@ def test_cross_validate_mul_calls_stay_within_the_class_bound(moduli):
 
 @pytest.mark.parametrize("moduli", [(2310,), (28, 30)], ids=ring_id)
 def test_cross_validate_decides_each_distinct_set_once(monkeypatch, moduli):
-    # The lattice side makes one mask decision per distinct canonical set and
-    # decides no element on its own; on a ring lattice nil = jrad, so the j
-    # column reads the n column's decision.
+    # The lattice side computes one X-element mask per distinct canonical set
+    # and decides no element on its own; on a ring lattice nil = jrad, so the
+    # j column reads the n column's mask from the memo in ``derived``.
     import multlat.classify as classify
-    from multlat.classify import canonical_sets, distinct_sets
+    from multlat.classify import canonical_sets
     from conftest import count_x_decisions
 
     M, model = fresh_model(moduli)
     want = cross_validate(M, model).render()
+    M = dataclasses.replace(M, derived={})
     counts = count_x_decisions(monkeypatch, classify)
     assert cross_validate(M, model).render() == want
-    distinct = [X.members for X in distinct_sets(canonical_sets(M).values())]
-    assert len(distinct) == 2 and counts["sets"] == distinct, counts["sets"]
+    computed = [key[1] for key in M.derived if key[0] == "x_element_mask"]
+    distinct = {X.mask for X in canonical_sets(M).values()}
+    assert len(computed) == 2 and set(computed) == distinct, computed
     assert (counts["per_element"], counts["escape"]) == (0, 0), counts
 
 
