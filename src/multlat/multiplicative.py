@@ -5,9 +5,12 @@ exhaustively, each equation once: commutativity, top acting as identity,
 annihilation of bottom, distribution of the product over binary joins
 (with annihilation, distribution over every finite join), and
 associativity; together these imply a*b <= a^b. The two cubic identities
-are checked on the join-irreducibles J(L), which every element is the join
-of: distribution over L x J(L) and associativity over J(L)^3. A table they
-reject is scanned again over all tuples, which names the first violation.
+are checked through the join-irreducibles J(L), which every element is the
+join of. Distribution: each row p in J(L) over L x J(L), and every other
+row a != bottom as the elementwise join of the rows of two lower covers of
+a, which join to a (``_lower_cover_split``): O(n |J|^2 + n^2) entries.
+Associativity: over J(L)^3. A table they reject is scanned again over all
+tuples, which names the first violation.
 A table that survives is returned as a :class:`MultiplicativeLattice`,
 which computes on first use, and keeps in its ``derived`` dict, the data
 the classification sweeps lean on: radicals (by two independent formulas,
@@ -16,8 +19,9 @@ Jacobson radical, the X-element masks and the residual table. None of them
 reads a label, so ``view`` relabels a lattice and passes the dict on, and
 every relabelling computes each of them once. The residual table holds
 (i : a) for every i and a. Its rows for bottom and J(L) are computed
-directly, and every other row is the elementwise meet of two earlier rows
-by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2) lookups in all.
+directly, and every other row is the elementwise meet of the rows of the
+same two lower covers, by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2)
+lookups in all.
 
 Three escape masks, each built once, answer every X-element question. An
 element a *escapes* at i when a*b <= i for some b not <= i.
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable
 
@@ -125,8 +129,10 @@ class MultiplicativeLattice(FiniteLattice):
     of these reads a label, so ``view`` hands the same dict to the lattice
     under new labels, and the moduli of one divisor shape share every
     cache (``ringbridge.ideal_lattice_zn``). The caches are stored in the
-    dict alone, so an instance keeps only its fields. ``product`` seeds
-    the dict with the componentwise residual table.
+    dict alone, so an instance keeps only its fields.
+    ``attach_multiplication`` seeds the dict with the lower-cover split its
+    distribution check read, and ``product`` with the componentwise
+    residual table.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -183,12 +189,14 @@ class MultiplicativeLattice(FiniteLattice):
         # _prod_below[a][i] = (i : a). Row bottom is all top. For q in J(L), the x
         # with x*q <= i form a down-set closed under joins, so (i : q) is the join
         # of the join-irreducibles p with p*q <= i: n*|J|^2 joins in all. Any other
-        # a is b v c for two distinct lower covers b and c, and by distribution
-        # x*(b v c) <= i iff x*b <= i and x*c <= i, so (i : b v c) = (i : b) ^ (i : c):
-        # one meet per entry, the rows visited in order of down-set size.
+        # a is b v c for the two lower covers b and c of its split, and by
+        # distribution x*(b v c) <= i iff x*b <= i and x*c <= i, so
+        # (i : b v c) = (i : b) ^ (i : c): one meet per entry, the rows visited in
+        # order of down-set size.
         n = self.size
         up, down = self.order.up, self.order.down
         join, meet, irreducibles = self.join_table, self.meet_table, self.join_irreducibles
+        split = self._lower_cover_split
         rows: list[tuple[int, ...] | None] = [None] * n
         rows[self.bottom] = (self.top,) * n
         for q in irreducibles:
@@ -200,10 +208,15 @@ class MultiplicativeLattice(FiniteLattice):
             rows[q] = tuple(acc)
         for a in sorted(range(n), key=lambda a: down[a].bit_count()):
             if rows[a] is None:
-                strict = down[a] ^ (1 << a)
-                b, c = islice((x for x in iter_bits(strict) if up[x] & strict == 1 << x), 2)
+                b, c = split[a]
                 rows[a] = tuple([meet[x][y] for x, y in zip(rows[b], rows[c])])
         return tuple(rows)
+
+    @_derived
+    def _lower_cover_split(self) -> tuple[tuple[int, int] | None, ...]:
+        # attach_multiplication seeds this and view passes it on; a product,
+        # whose residual table is seeded instead, computes it only when asked.
+        return _lower_cover_split(self)
 
     # -- escape masks --------------------------------------------------------
 
@@ -424,70 +437,119 @@ def attach_multiplication(
     annihilation, distribution over binary joins, and associativity.
     Raises AxiomViolation naming the first offending tuple in index order.
 
-    The two cubic identities are checked on the join-irreducibles J(L), in
-    O(n^2 |J|) and O(|J|^3) instead of O(n^3):
+    The two cubic identities are checked in O(n |J|^2 + n^2) and O(|J|^3)
+    instead of O(n^3), through J(L) and the lower-cover split of every other
+    element (``_lower_cover_split``):
 
-    * Distribution: a*(x v q) = a*x v a*q for all a, x and q in J(L) gives
-      a*(x v y) = a*x v a*y for every y, in any finite lattice. Write
-      y = q1 v ... v qk over J(L) and induct on k. k = 0 is annihilation;
-      with y' = q1 v ... v q(k-1), a*(x v y) = a*((x v y') v qk)
-      = a*(x v y') v a*qk = a*x v a*y' v a*qk = a*x v a*y.
+    * Distribution: the table distributes exactly when p*(x v q) = p*x v p*q
+      for every p and q in J(L) and every x, and every other a != bottom,
+      split as b v c by two distinct lower covers, has a*x = b*x v c*x for
+      every x. These are necessary: the second is (b v c)*x = x*b v x*c, an
+      instance of distribution, by commutativity. They are sufficient, in
+      any finite lattice, by induction on the size of down(a). Bottom
+      distributes by annihilation. For p in J(L), write y = q1 v ... v qk
+      over J(L) and induct on k: k = 0 is annihilation, and with
+      y' = q1 v ... v q(k-1), p*(x v y) = p*((x v y') v qk)
+      = p*(x v y') v p*qk = p*x v p*y' v p*qk = p*x v p*y. Any other a is
+      b v c with b and c below it, which distribute by induction, so
+      a*(x v y) = b*(x v y) v c*(x v y) = b*x v b*y v c*x v c*y = a*x v a*y.
     * Associativity: given commutativity, annihilation and distribution,
       a*(b*c) and (a*b)*c preserve every finite join, the empty one
       included, in each argument; so they agree everywhere once they agree
       on J(L)^3.
 
     A table these checks reject is scanned again over all tuples in index
-    order, which names the first violation. The bound a*b <= a^b needs no
-    scan: distribution over the pair (b, top) gives a = a*top = a*b v a*top,
-    so a*b <= a, and by commutativity a*b <= b.
+    order, which names the first violation. Entry range, commutativity,
+    identity and annihilation are whole-table tests, and a table that fails
+    one has its entries scanned in index order too. The bound a*b <= a^b
+    needs no scan: distribution over the pair (b, top) gives
+    a = a*top = a*b v a*top, so a*b <= a, and by commutativity a*b <= b.
+    The split goes into ``derived``, where ``_prod_below`` reads it.
     """
-    rows = tuple(tuple(r) for r in table)
+    rows = tuple(map(tuple, table))
     n = lattice.size
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"table must be {n}x{n}")
-    for a in range(n):
-        for b in range(n):
-            v = rows[a][b]
-            if not (0 <= v < n):
-                raise AxiomViolation("closure", (a, b), f"entry {v} out of range")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rows[a][b] != rows[b][a]:
-                raise AxiomViolation(
-                    "commutativity", (a, b), f"{rows[a][b]} != {rows[b][a]}"
-                )
+    if not set().union(*rows).issubset(range(n)):
+        for a in range(n):
+            for b in range(n):
+                v = rows[a][b]
+                if not (0 <= v < n):
+                    raise AxiomViolation("closure", (a, b), f"entry {v} out of range")
+    if rows != tuple(zip(*rows)):
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rows[a][b] != rows[b][a]:
+                    raise AxiomViolation(
+                        "commutativity", (a, b), f"{rows[a][b]} != {rows[b][a]}"
+                    )
     top, bottom = lattice.top, lattice.bottom
-    for a in range(n):
-        if rows[a][top] != a:
-            raise AxiomViolation("identity", (a,), f"a*top = {rows[a][top]}")
-        if rows[a][bottom] != bottom:
-            raise AxiomViolation("annihilation", (a,), f"a*bottom = {rows[a][bottom]}")
+    # By commutativity, row top is the column a*top and row bottom the column a*bottom.
+    if rows[top] != tuple(range(n)) or rows[bottom] != (bottom,) * n:
+        for a in range(n):
+            if rows[a][top] != a:
+                raise AxiomViolation("identity", (a,), f"a*top = {rows[a][top]}")
+            if rows[a][bottom] != bottom:
+                raise AxiomViolation("annihilation", (a,), f"a*bottom = {rows[a][bottom]}")
     irreducibles = lattice.join_irreducibles
+    split = _lower_cover_split(lattice)
     if not (
-        _distributes_over_irreducibles(rows, lattice.join_table, irreducibles)
+        _distributes_over_irreducibles(rows, lattice.join_table, irreducibles, split)
         and _associative_on_irreducibles(rows, irreducibles)
     ):
         _full_axiom_scan(lattice, rows)
         raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
     return MultiplicativeLattice(
         lattice.order, lattice.bottom, lattice.top, lattice.meet_table, lattice.join_table,
-        lattice.labels, lattice.join_irreducibles, rows, name,
+        lattice.labels, lattice.join_irreducibles, rows, name, {"_lower_cover_split": split},
     )
+
+
+def _lower_cover_split(lattice: FiniteLattice) -> tuple[tuple[int, int] | None, ...]:
+    """For each a outside bottom and J(L), its first two lower covers b < c in index order.
+
+    None on bottom and J(L). Any other a covers at least two elements, and
+    any two distinct lower covers b and c join to a: b < b v c <= a, as c is
+    not below b, and a covers b.
+    """
+    up, down = lattice.order.up, lattice.order.down
+    skip = {lattice.bottom, *lattice.join_irreducibles}
+    split: list[tuple[int, int] | None] = [None] * lattice.size
+    for a, below in enumerate(down):
+        if a in skip:
+            continue
+        # A lower cover x of a is maximal in the strict down-set: up[x] meets
+        # it in x alone. c is sought after b and outside down(b).
+        strict = rest = below ^ (1 << a)
+        while up[b := (rest & -rest).bit_length() - 1] & strict != 1 << b:
+            rest &= rest - 1
+        rest &= ~down[b]
+        while up[c := (rest & -rest).bit_length() - 1] & strict != 1 << c:
+            rest &= rest - 1
+        split[a] = b, c
+    return tuple(split)
 
 
 def _distributes_over_irreducibles(
     rows: tuple[tuple[int, ...], ...],
     join: tuple[tuple[int, ...], ...],
     irreducibles: tuple[int, ...],
+    split: tuple[tuple[int, int] | None, ...],
 ) -> bool:
-    """a*(x v q) == a*x v a*q for every a, every x and every q in J(L)."""
+    """p*(x v q) == p*x v p*q for p, q in J(L) and every x, and every split row
+    a = b v c is the elementwise join of rows b and c."""
     # join is symmetric, so join[q] lists x v q for every x.
     joined = [(q, itemgetter(*join[q])) for q in irreducibles]
-    for row in rows:
+    for p in irreducibles:
+        row = rows[p]
         at = itemgetter(*row)
         for q, with_q in joined:
             if with_q(row) != at(join[row[q]]):
+                return False
+    for a, bc in enumerate(split):
+        if bc is not None:
+            b, c = bc
+            if rows[a] != tuple([join[x][y] for x, y in zip(rows[b], rows[c])]):
                 return False
     return True
 

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import json
 import random
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from multlat import (
     kite_lattice,
     lattice_from_pairs,
     load_path,
+    loads,
     trivial_mult,
 )
 from multlat.classify import canonical_sets, downset_m_closed, x_element_mask, x_mult_closed_witness
@@ -25,6 +28,7 @@ from multlat.order import build_order, iter_bits, validate_lattice
 from multlat.ringbridge import divisors
 
 LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
+PERFBENCH_DIR = LATTICE_DIR.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +61,23 @@ def m3_plus_top():
 def n5_plus_top():
     """N_5 with a new top, from ``lattices/n5-top.lat``; b*b = a."""
     return load_path(LATTICE_DIR / "n5-top.lat")[0]
+
+
+def subspace_spec_lattice(seed):
+    """The benchmark's 68-element spec (subspaces of F_2^4 plus a new top, not
+    distributive, |J| = 16), numbered by ``seed``, loaded as a lattice.
+
+    The text comes from ``perfbench/workloads.py::subspace_spec``, imported
+    without writing bytecode next to it.
+    """
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH_DIR))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH_DIR))
+        sys.dont_write_bytecode = writes
+    return loads(workloads.subspace_spec(seed))[0]
 
 
 def tables_from_irreducibles(M, count, seed):

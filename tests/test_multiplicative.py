@@ -52,6 +52,7 @@ from conftest import (
     join_irreducibles_oracle,
     m3_plus_top,
     n5_plus_top,
+    subspace_spec_lattice,
     tables_from_irreducibles,
     x_set_instances,
 )
@@ -621,6 +622,95 @@ def test_full_scan_accepting_a_rejected_table_raises(monkeypatch):
     monkeypatch.setattr(multiplicative, "_distributes_over_irreducibles", lambda *args: False)
     with pytest.raises(RuntimeError):
         attach_multiplication(M, M.table)
+
+
+def test_lower_cover_split_matches_the_hasse_diagram():
+    # None exactly on bottom and J(L); every other a gets its first two lower
+    # covers in index order, which join to a. Seeded by attach_multiplication,
+    # derived on products, and equal to a fresh computation either way.
+    instances = {}
+    for M in (*x_set_instances(), ideal_lattice_product(4, 9)[0], subspace_spec_lattice(0)):
+        instances.setdefault((M.order.down, M.table), M)
+    assert len(instances) >= 80
+    for M in instances.values():
+        split = M._lower_cover_split
+        assert split == multiplicative._lower_cover_split(M), M.name
+        irreducibles = join_irreducibles_oracle(M)
+        lower = {a: sorted(x for x, y in M.covers() if y == a) for a in range(M.size)}
+        for a, bc in enumerate(split):
+            if a == M.bottom or a in irreducibles:
+                assert bc is None, (M.name, a)
+                continue
+            b, c = bc
+            assert (b, c) == tuple(lower[a][:2]) and b != c, (M.name, a)
+            assert M.join(b, c) == a, (M.name, a)
+
+
+def test_split_rows_reject_a_table_the_irreducible_rows_accept():
+    # (2) in Id(Z_12) is neither bottom nor join-irreducible, and no entry
+    # that the J(L) rows or J(L)^3 read is (2)*(2): only the split rows can
+    # reject a change to it, and they name the reference scan's witness.
+    M = ideal_lattice_zn(12)[0]
+    two = M.index_of("(2)")
+    assert two != M.bottom and two not in M.join_irreducibles
+    irreducibles = M.join_irreducibles
+    assert two not in {M.product(p, q) for p in irreducibles for q in irreducibles}
+    seen = set()
+    for v in range(M.size):
+        if v == M.product(two, two):
+            continue
+        rows = [list(r) for r in M.table]
+        rows[two][two] = v
+        want = first_axiom_violation(M, rows)
+        assert want is not None and want[0] in ("distributivity", "associativity"), v
+        with pytest.raises(AxiomViolation) as exc:
+            attach_multiplication(M, rows)
+        assert (exc.value.axiom, exc.value.witness) == want, v
+        seen.add(want[0])
+    assert "distributivity" in seen
+
+
+def test_whole_table_scans_name_the_first_witness():
+    # Two violations per table, of the same axiom or of two: the whole-table
+    # tests for range, commutativity, identity and annihilation only decide
+    # that a table fails, and the ordered scans name the first pair.
+    cases = []
+    for M in (ideal_lattice_zn(12)[0], m3_plus_top(), n5_plus_top()):
+        n = M.size
+        cells = list(itertools.product(range(n), repeat=2))
+        for (i1, j1), (i2, j2) in itertools.combinations(cells, 2):
+            if i1 == i2:
+                continue
+            # Two entries out of range; one; a changed in-range entry, then one out of range.
+            moved = M.bottom if M.table[i1][j1] != M.bottom else M.top
+            for v1, v2 in ((n, -1), (-1, M.table[i2][j2]), (moved, n + 3)):
+                rows = [list(r) for r in M.table]
+                rows[i1][j1], rows[i2][j2] = v1, v2
+                cases.append((M, rows))
+            if i1 != j1 and i2 != j2:  # asymmetric pairs in two different rows
+                rows = [list(r) for r in M.table]
+                for i, j in ((i1, j1), (i2, j2)):
+                    rows[i][j] = next(v for v in range(n) if v != rows[j][i])
+                cases.append((M, rows))
+        # Symmetric changes to the top and bottom columns, at two elements.
+        for a1, a2 in itertools.combinations(range(n), 2):
+            for column in (M.top, M.bottom):
+                rows = [list(r) for r in M.table]
+                for a in (a1, a2):
+                    v = next(v for v in range(n) if v != rows[a][column])
+                    rows[a][column] = rows[column][a] = v
+                cases.append((M, rows))
+    seen = set()
+    for M, rows in cases:
+        want = first_axiom_violation(M, rows)
+        try:
+            attach_multiplication(M, rows)
+            got = None
+        except AxiomViolation as exc:
+            got = exc.axiom, exc.witness
+        assert got == want, (M.name, rows)
+        seen.add(want and want[0])
+    assert {"closure", "commutativity", "identity", "annihilation"} <= seen
 
 
 @given(n=st.integers(2, 240))

@@ -29,12 +29,12 @@ from multlat import (
     render_spec,
     x_elements,
 )
-from conftest import m3_plus_top, n5_plus_top, x_set_instances
+from conftest import m3_plus_top, n5_plus_top, subspace_spec_lattice, x_set_instances
 
 
 def renumbering_instances():
     """Every distinct lattice of ``x_set_instances()``, then K, zn:360,
-    prod:4,9 and N5+top x zn:12."""
+    prod:4,9, N5+top x zn:12 and the benchmark's 68-element subspace spec."""
     extra = (
         m3_plus_top(),
         n5_plus_top(),
@@ -43,6 +43,7 @@ def renumbering_instances():
         ideal_lattice_zn(360)[0],
         ideal_lattice_product(4, 9)[0],
         product(n5_plus_top(), ideal_lattice_zn(12)[0], name="N5+top*zn:12"),
+        subspace_spec_lattice(0),
     )
     distinct = {}
     for M in (*x_set_instances(), *extra):
@@ -117,3 +118,20 @@ def test_renumbering_moves_the_elements():
     assert (flipped.bottom, flipped.top) == (5, 0)
     assert flipped.labels == M.labels[::-1]
     assert numbering_free_facts(flipped) == numbering_free_facts(M)
+
+
+def test_the_subspace_spec_gives_one_answer_at_every_benchmark_numbering():
+    # The benchmark and CI write the spec at seeds 0, 7 and 13, three
+    # numberings of one non-distributive lattice (|J| = 16), whose lower-cover
+    # splits differ with the numbering.
+    specs = [subspace_spec_lattice(seed) for seed in (0, 7, 13)]
+    assert specs[0].size == 68 and len(specs[0].join_irreducibles) == 16
+    splits = {
+        frozenset((M.label(a), *map(M.label, bc)) for a, bc in enumerate(M._lower_cover_split) if bc)
+        for M in specs
+    }
+    assert len(splits) == 3
+    facts = numbering_free_facts(specs[0])
+    for M in specs[1:]:
+        assert numbering_free_facts(M) == facts
+        assert check_report_witnesses(M, (), classify_lattice(M))
