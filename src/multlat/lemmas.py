@@ -87,6 +87,16 @@ def _lbl(M: MultiplicativeLattice, *elements: int) -> str:
     return ", ".join(M.label(e) for e in elements)
 
 
+def _pair_or_disagreement(
+    M: MultiplicativeLattice, witness: tuple[int, int] | None, notion: str
+) -> str:
+    """The witness route's pair for a failure the mask reported, or, when that
+    route finds none, both routes' answers."""
+    if witness is None:
+        return f"the mask says not {notion}, but the witness route finds no pair (says {notion})"
+    return f"pair {_lbl(M, *witness)}"
+
+
 def lemma_suite(M: MultiplicativeLattice, xsets: tuple[MClosedSet, ...] = ()) -> SuiteReport:
     """Run every check against ``xsets`` and the canonical sets."""
     if M.size == 1:
@@ -170,7 +180,7 @@ def _check_l3(M: MultiplicativeLattice, jset: MClosedSet, xels: frozenset[int]) 
             return CheckResult(
                 "L3", "global", False,
                 f"local with maximal {M.label(m)} but {M.label(i)} is not an X-element "
-                f"for its down-set; pair {_lbl(M, *x_witness(M, jset, i))}",
+                f"for its down-set; {_pair_or_disagreement(M, x_witness(M, jset, i), 'X-element')}",
             )
     return CheckResult("L3", "global", True)
 
@@ -261,7 +271,7 @@ def _check_l8(M: MultiplicativeLattice, X: MClosedSet, xels: frozenset[int]) -> 
             return CheckResult(
                 "L8", X.name, False,
                 f"{M.label(i)} is a maximal X-element but not prime; "
-                f"pair {_lbl(M, *M.prime_witness(i))}",
+                f"{_pair_or_disagreement(M, M.prime_witness(i), 'prime')}",
             )
     info = None if maximal else "vacuous: no X-elements"
     return CheckResult("L8", X.name, True, info=info)

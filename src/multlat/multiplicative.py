@@ -8,9 +8,9 @@ associativity; together these imply a*b <= a^b. The two cubic identities
 are checked through the join-irreducibles J(L), which every element is the
 join of. Distribution: each row p in J(L) over L x J(L), and every other
 row a != bottom as the elementwise join of the rows of two lower covers of
-a, which join to a (``_lower_cover_split``): O(n |J|^2 + n^2) entries.
-Associativity: over J(L)^3. A table they reject is scanned again over all
-tuples, which names the first violation.
+a, which join to a (the lattice's ``lower_split``): O(n |J|^2 + n^2)
+entries. Associativity: over J(L)^3. A table they reject is scanned again
+over all tuples, which names the first violation.
 A table that survives is returned as a :class:`MultiplicativeLattice`,
 which computes on first use, and keeps in its ``derived`` dict, the data
 the classification sweeps lean on: radicals (by two independent formulas,
@@ -18,10 +18,21 @@ cross-asserted), prime/maximal element sets, the zero divisors, the
 Jacobson radical, the X-element masks and the residual table. None of them
 reads a label, so ``view`` relabels a lattice and passes the dict on, and
 every relabelling computes each of them once. The residual table holds
-(i : a) for every i and a. Its rows for bottom and J(L) are computed
-directly, and every other row is the elementwise meet of the rows of the
-same two lower covers, by (i : b v c) = (i : b) ^ (i : c): O(n |J|^2 + n^2)
-lookups in all.
+(i : a) for every i and a, and is built through both splits of the
+lattice. x*a <= i defines a down-set of x closed under joins, by
+distribution, so (i : a) is its greatest element, and:
+
+* (i : b v c) = (i : b) ^ (i : c), since x*(b v c) = x*b v x*c <= i exactly
+  when x*b <= i and x*c <= i. So every row a outside bottom and J(L) is the
+  elementwise meet of the rows of the two lower covers of its split.
+* (b ^ c : q) = (b : q) ^ (c : q), since x*q <= b ^ c exactly when x*q <= b
+  and x*q <= c. So in a row q of J(L), every column outside top and the
+  meet-irreducibles M(L) is the meet of the columns of the two upper covers
+  of its split, and only the M(L) columns are computed directly, as the
+  join of the p in J(L) with p*q <= m (Davey & Priestley, ch. 7: every
+  element is a meet of members of M(L)).
+
+That is |J|^2 |M| tests, n |J| meets for the J(L) rows and n^2 for the rest.
 
 Three escape masks, each built once, answer every X-element question. An
 element a *escapes* at i when a*b <= i for some b not <= i.
@@ -58,7 +69,7 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .order import FiniteLattice, PartialOrder, iter_bits, mask_of
+from .order import FiniteLattice, PartialOrder, cover_splits, iter_bits, mask_of
 
 
 class AxiomViolation(ValueError):
@@ -129,10 +140,8 @@ class MultiplicativeLattice(FiniteLattice):
     of these reads a label, so ``view`` hands the same dict to the lattice
     under new labels, and the moduli of one divisor shape share every
     cache (``ringbridge.ideal_lattice_zn``). The caches are stored in the
-    dict alone, so an instance keeps only its fields.
-    ``attach_multiplication`` seeds the dict with the lower-cover split its
-    distribution check read, and ``product`` with the componentwise
-    residual table.
+    dict alone, so an instance keeps only its fields. ``product`` seeds the
+    dict with the componentwise residual table.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -148,7 +157,8 @@ class MultiplicativeLattice(FiniteLattice):
         """This lattice under ``labels`` and ``name``, sharing its tables and ``derived``."""
         return MultiplicativeLattice(
             self.order, self.bottom, self.top, self.meet_table, self.join_table,
-            labels, self.join_irreducibles, self.table, name, self.derived,
+            labels, self.join_irreducibles, self.lower_split, self.upper_split,
+            self.table, name, self.derived,
         )
 
     # -- multiplication ----------------------------------------------------
@@ -186,37 +196,38 @@ class MultiplicativeLattice(FiniteLattice):
 
     @_derived
     def _prod_below(self) -> tuple[tuple[int, ...], ...]:
-        # _prod_below[a][i] = (i : a). Row bottom is all top. For q in J(L), the x
-        # with x*q <= i form a down-set closed under joins, so (i : q) is the join
-        # of the join-irreducibles p with p*q <= i: n*|J|^2 joins in all. Any other
-        # a is b v c for the two lower covers b and c of its split, and by
-        # distribution x*(b v c) <= i iff x*b <= i and x*c <= i, so
-        # (i : b v c) = (i : b) ^ (i : c): one meet per entry, the rows visited in
-        # order of down-set size.
-        n = self.size
-        up, down = self.order.up, self.order.down
-        join, meet, irreducibles = self.join_table, self.meet_table, self.join_irreducibles
-        split = self._lower_cover_split
-        rows: list[tuple[int, ...] | None] = [None] * n
-        rows[self.bottom] = (self.top,) * n
-        for q in irreducibles:
-            acc = [self.bottom] * n
-            row = self.table[q]
-            for p in irreducibles:
-                for i in iter_bits(up[row[p]]):
-                    acc[i] = join[acc[i]][p]
-            rows[q] = tuple(acc)
-        for a in sorted(range(n), key=lambda a: down[a].bit_count()):
-            if rows[a] is None:
-                b, c = split[a]
-                rows[a] = tuple([meet[x][y] for x, y in zip(rows[b], rows[c])])
+        # _prod_below[a][i] = (i : a), through the two splits (module docstring).
+        # cols[i] holds (i : q) for q in J(L): top's column is all top, an M(L)
+        # column joins the p with p*q <= m, and the upper split gives the rest,
+        # each after the columns of its two covers.
+        n, top, bottom = self.size, self.top, self.bottom
+        down, join, meet, table = self.order.down, self.join_table, self.meet_table, self.table
+        irreducibles = self.join_irreducibles
+        cols: list = [None] * n
+        cols[top] = (top,) * len(irreducibles)
+        for a in self.upper_split[::3]:
+            cols[a] = ()
+        for m, col in enumerate(cols):
+            if col is None:
+                below_m, col = down[m], []
+                for q in irreducibles:
+                    row, x = table[q], bottom
+                    for p in irreducibles:
+                        if below_m >> row[p] & 1:
+                            x = join[x][p]
+                    col.append(x)
+                cols[m] = col
+        triples = iter(self.upper_split)
+        for a, b, c in zip(triples, triples, triples):
+            cols[a] = [meet[x][y] for x, y in zip(cols[b], cols[c])]
+        rows: list = [None] * n
+        rows[bottom] = (top,) * n
+        for q, row in zip(irreducibles, zip(*cols)):
+            rows[q] = row
+        triples = iter(self.lower_split)
+        for a, b, c in zip(triples, triples, triples):
+            rows[a] = tuple([meet[x][y] for x, y in zip(rows[b], rows[c])])
         return tuple(rows)
-
-    @_derived
-    def _lower_cover_split(self) -> tuple[tuple[int, int] | None, ...]:
-        # attach_multiplication seeds this and view passes it on; a product,
-        # whose residual table is seeded instead, computes it only when asked.
-        return _lower_cover_split(self)
 
     # -- escape masks --------------------------------------------------------
 
@@ -439,7 +450,7 @@ def attach_multiplication(
 
     The two cubic identities are checked in O(n |J|^2 + n^2) and O(|J|^3)
     instead of O(n^3), through J(L) and the lower-cover split of every other
-    element (``_lower_cover_split``):
+    element (``lattice.lower_split``):
 
     * Distribution: the table distributes exactly when p*(x v q) = p*x v p*q
       for every p and q in J(L) and every x, and every other a != bottom,
@@ -464,7 +475,6 @@ def attach_multiplication(
     one has its entries scanned in index order too. The bound a*b <= a^b
     needs no scan: distribution over the pair (b, top) gives
     a = a*top = a*b v a*top, so a*b <= a, and by commutativity a*b <= b.
-    The split goes into ``derived``, where ``_prod_below`` reads it.
     """
     rows = tuple(map(tuple, table))
     n = lattice.size
@@ -492,49 +502,24 @@ def attach_multiplication(
             if rows[a][bottom] != bottom:
                 raise AxiomViolation("annihilation", (a,), f"a*bottom = {rows[a][bottom]}")
     irreducibles = lattice.join_irreducibles
-    split = _lower_cover_split(lattice)
     if not (
-        _distributes_over_irreducibles(rows, lattice.join_table, irreducibles, split)
+        _distributes_over_irreducibles(rows, lattice.join_table, irreducibles, lattice.lower_split)
         and _associative_on_irreducibles(rows, irreducibles)
     ):
         _full_axiom_scan(lattice, rows)
         raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
     return MultiplicativeLattice(
         lattice.order, lattice.bottom, lattice.top, lattice.meet_table, lattice.join_table,
-        lattice.labels, lattice.join_irreducibles, rows, name, {"_lower_cover_split": split},
+        lattice.labels, lattice.join_irreducibles, lattice.lower_split, lattice.upper_split,
+        rows, name,
     )
-
-
-def _lower_cover_split(lattice: FiniteLattice) -> tuple[tuple[int, int] | None, ...]:
-    """For each a outside bottom and J(L), its first two lower covers b < c in index order.
-
-    None on bottom and J(L). Any other a covers at least two elements, and
-    any two distinct lower covers b and c join to a: b < b v c <= a, as c is
-    not below b, and a covers b.
-    """
-    up, down = lattice.order.up, lattice.order.down
-    skip = {lattice.bottom, *lattice.join_irreducibles}
-    split: list[tuple[int, int] | None] = [None] * lattice.size
-    for a, below in enumerate(down):
-        if a in skip:
-            continue
-        # A lower cover x of a is maximal in the strict down-set: up[x] meets
-        # it in x alone. c is sought after b and outside down(b).
-        strict = rest = below ^ (1 << a)
-        while up[b := (rest & -rest).bit_length() - 1] & strict != 1 << b:
-            rest &= rest - 1
-        rest &= ~down[b]
-        while up[c := (rest & -rest).bit_length() - 1] & strict != 1 << c:
-            rest &= rest - 1
-        split[a] = b, c
-    return tuple(split)
 
 
 def _distributes_over_irreducibles(
     rows: tuple[tuple[int, ...], ...],
     join: tuple[tuple[int, ...], ...],
     irreducibles: tuple[int, ...],
-    split: tuple[tuple[int, int] | None, ...],
+    split: tuple[int, ...],
 ) -> bool:
     """p*(x v q) == p*x v p*q for p, q in J(L) and every x, and every split row
     a = b v c is the elementwise join of rows b and c."""
@@ -546,11 +531,10 @@ def _distributes_over_irreducibles(
         for q, with_q in joined:
             if with_q(row) != at(join[row[q]]):
                 return False
-    for a, bc in enumerate(split):
-        if bc is not None:
-            b, c = bc
-            if rows[a] != tuple([join[x][y] for x, y in zip(rows[b], rows[c])]):
-                return False
+    triples = iter(split)
+    for a, b, c in zip(triples, triples, triples):
+        if rows[a] != tuple([join[x][y] for x, y in zip(rows[b], rows[c])]):
+            return False
     return True
 
 
@@ -604,7 +588,7 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
 
     (a1, a2) has index a1*k2 + a2, with k2 = B.size, and label
     ``f"{label1}x{label2}"``. The order, meet, join, multiplication and
-    residual tables, bottom, top and J(L) all come from the factors' data;
+    residual tables, bottom and top all come from the factors' data;
     nothing is validated again, because nothing can fail:
 
     * The componentwise order is a partial order, and the componentwise meet
@@ -616,12 +600,11 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
       ``attach_multiplication`` checked when it built them.
     * x*a <= i holds exactly when x1*a1 <= i1 and x2*a2 <= i2, so the largest
       such x is ((i1 : a1), (i2 : a2)).
-    * The lower covers of (q1, q2) are the (c1, q2) with c1 covered by q1
-      and the (q1, c2) with c2 covered by q2, so (q1, q2) covers exactly one
-      element when one coordinate is bottom and the other is join-irreducible:
-      J(A x B) = J(A) x {bottom} u {bottom} x J(B).
 
-    The residual table goes into ``derived`` at construction.
+    The residual table goes into ``derived`` at construction. J(L) and the
+    two cover splits are the one step not taken componentwise:
+    ``cover_splits`` reads them off the product's order masks, as
+    ``validate_lattice`` would.
     Raises ValueError when two label pairs join to the same label.
     """
     k1, k2 = A.size, B.size
@@ -650,17 +633,19 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
         spread = [sum(full_b << (x1 * k2) for x1 in iter_bits(m)) for m in rows_a]
         return tuple(s & (m * tile) for s in spread for m in rows_b)
 
+    order = PartialOrder(n, masks(A.order.up, B.order.up), masks(A.order.down, B.order.down))
+    bottom, top = A.bottom * k2 + B.bottom, A.top * k2 + B.top
+    irreducibles, lower_split, upper_split = cover_splits(order, bottom, top)
     return MultiplicativeLattice(
-        order=PartialOrder(n, masks(A.order.up, B.order.up), masks(A.order.down, B.order.down)),
-        bottom=A.bottom * k2 + B.bottom,
-        top=A.top * k2 + B.top,
+        order=order,
+        bottom=bottom,
+        top=top,
         meet_table=combine(A.meet_table, B.meet_table),
         join_table=combine(A.join_table, B.join_table),
         labels=labels,
-        join_irreducibles=tuple(sorted(
-            [q * k2 + B.bottom for q in A.join_irreducibles]
-            + [A.bottom * k2 + q for q in B.join_irreducibles]
-        )),
+        join_irreducibles=irreducibles,
+        lower_split=lower_split,
+        upper_split=upper_split,
         table=combine(A.table, B.table),
         name=name,
         derived={"_prod_below": combine(A._prod_below, B._prod_below)},

@@ -3,17 +3,23 @@
 Elements are dense integer indices 0..size-1. The order relation is stored
 as bitmask rows: bit j of ``up[i]`` is set iff i <= j, closed in one pass in
 topological order (cyclic input goes through Warshall's scan, which only
-names the cycle). Meets and joins are found by intersecting down-/up-masks
-and looking up the principal down-/up-set equal to the result; the full
-meet/join tables are precomputed at validation time, one scan per unordered
-pair, so lattice queries are table lookups. All values are immutable after
+names the cycle). A meet or join is found by intersecting down-/up-masks
+and looking up the principal down-/up-set equal to the result.
+``validate_lattice`` makes those lookups only for the rows of bottom and
+the join-irreducibles J(L) of the join table, and of top and the
+meet-irreducibles M(L) of the meet table: n*(|J| + |M|) lookups instead of
+one per pair. Every other a is b v c for two lower covers b and c, and
+its join row is row b read at the entries of row c, since
+a v x = b v (c v x); dually for the meet rows through two upper covers.
+So lattice queries are table lookups. All values are immutable after
 construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NoReturn
 
 
 class CycleError(ValueError):
@@ -126,6 +132,15 @@ class FiniteLattice:
     ``join_irreducibles`` is J(L) in index order, recorded by ``validate_lattice``;
     every element is the join of the members of J(L) below it (Dilworth 1962).
     ``labels`` is None for a lattice validated without labels.
+
+    ``lower_split`` holds, for every a outside bottom and J(L), a triple
+    a, b, c with b and c two distinct lower covers of a, so a = b v c. It is
+    flat (a0, b0, c0, a1, b1, c1, ...), and b and c come before a whenever
+    they are split themselves: the triples follow a linear extension.
+    ``upper_split`` is the dual: a = b ^ c for two distinct upper covers, for
+    every a outside top and the meet-irreducibles M(L), in the reverse of a
+    linear extension. Two covers b != c of a are incomparable, so b v c lies
+    strictly above b and at most a, which covers b: b v c = a.
     """
 
     order: PartialOrder
@@ -135,6 +150,8 @@ class FiniteLattice:
     join_table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None
     join_irreducibles: tuple[int, ...]
+    lower_split: tuple[int, ...]
+    upper_split: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -201,12 +218,24 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     The common lower bounds of x and y form a down-set, which has a greatest
     element m exactly when it equals down[m]; so the meet is one lookup in
     the principal down-sets, and dually the join in the principal up-sets.
-    Raises NotALattice with the first offending pair in index order. By
-    symmetry only the pairs x <= y (as indices) are scanned, each filling
-    [x][y] and [y][x]: if (x, y) with x > y failed, (y, x) failed earlier,
-    so the first failing pair has x <= y, and its meet is still tested first.
     J(L), the q covering exactly one element, are the q whose strict down-set
-    is principal (bottom's is empty, so never): one lookup each in that index.
+    is principal (bottom's is empty, so never): one lookup each in that
+    index; M(L) dually. The tables are built through the splits
+    (``cover_splits``):
+
+    * Join rows: bottom's row is the identity and the rows of J(L) are
+      lookups, n*|J| of them. Every other a is b v c for two lower covers;
+      that needs no check once b v c exists (see ``FiniteLattice``).
+      By induction along the linear extension, suppose rows b and c hold
+      true joins. Then a v x = b v (c v x): b v (c v x) lies above b, c and
+      x, so above a and x, and every upper bound of a and x lies above
+      c v x and b. So row a is row b read at the entries of row c, one
+      C-level pass, and the join exists for every pair.
+    * Meet rows: the dual, from top's row, the M(L) rows and the upper split.
+
+    A lattice passes every lookup. An order without bottom or top, or with
+    a failed lookup, is no lattice and goes through the pair scan, which
+    raises NotALattice naming the first offending pair in index order.
     Without ``labels`` the lattice has none (``labels`` None).
     """
     n = order.size
@@ -219,24 +248,131 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     up, down = order.up, order.down
     by_down = {d: c for c, d in enumerate(down)}
     by_up = {u: c for c, u in enumerate(up)}
-    meet_rows = [[0] * n for _ in range(n)]
-    join_rows = [[0] * n for _ in range(n)]
-    for x in range(n):
-        down_x, up_x, meet_x, join_x = down[x], up[x], meet_rows[x], join_rows[x]
-        for y in range(x, n):
-            glb = by_down.get(down_x & down[y])
-            if glb is None:
-                raise NotALattice(x, y, "meet")
-            lub = by_up.get(up_x & up[y])
-            if lub is None:
-                raise NotALattice(x, y, "join")
-            meet_x[y] = meet_rows[y][x] = glb
-            join_x[y] = join_rows[y][x] = lub
     full = (1 << n) - 1
-    bottom, top = by_up[full], by_down[full]
-    tables = tuple(map(tuple, meet_rows)), tuple(map(tuple, join_rows))
-    irreducibles = tuple(q for q in range(n) if (down[q] ^ (1 << q)) in by_down)
-    return FiniteLattice(order, bottom, top, *tables, labels, irreducibles)
+    bottom, top = by_up.get(full), by_down.get(full)
+    if bottom is not None and top is not None:
+        irreducibles, lower, meet_irreducibles, upper = _cover_splits(order, by_down, by_up, bottom, top)
+        try:
+            join_table = _rows_through_split(bottom, irreducibles, lower, up, by_up)
+            meet_table = _rows_through_split(top, meet_irreducibles, upper, down, by_down)
+        except KeyError:
+            pass
+        else:
+            return FiniteLattice(
+                order, bottom, top, meet_table, join_table, labels, irreducibles, lower, upper,
+            )
+    _pair_scan(order, by_down, by_up)
+    raise RuntimeError("the pair scan accepts an order the cover splits reject")
+
+
+def cover_splits(
+    order: PartialOrder, bottom: int, top: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """J(L), the lower and the upper split of a lattice's order, as ``validate_lattice`` records them."""
+    by_down = {d: c for c, d in enumerate(order.down)}
+    by_up = {u: c for c, u in enumerate(order.up)}
+    irreducibles, lower, _, upper = _cover_splits(order, by_down, by_up, bottom, top)
+    return irreducibles, lower, upper
+
+
+def _cover_splits(
+    order: PartialOrder, by_down: dict[int, int], by_up: dict[int, int], bottom: int, top: int
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int], tuple[int, ...]]:
+    """J(L) in index order, the lower split, M(L) and the upper split.
+
+    Sorting by down-mask value gives a linear extension: x < y makes down[x]
+    a proper subset of down[y], so a smaller integer; its reverse is one of
+    the dual order. Every a outside bottom whose strict down-set is not
+    principal has at least two maximal elements there, its lower covers,
+    since bottom lies in it. Lower covers are sought from the low index
+    end and upper covers from the high end: the divisor numbering of Id(Z_n)
+    lists larger ideals first, so the first probe is usually a cover.
+    """
+    up, down = order.up, order.down
+    rank = sorted(range(order.size), key=down.__getitem__)
+    irreducibles, lower = _split(rank, bottom, down, up, by_down, _lowest)
+    rank.reverse()
+    meet_irreducibles, upper = _split(rank, top, up, down, by_up, _highest)
+    irreducibles.sort()
+    return tuple(irreducibles), lower, meet_irreducibles, upper
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _highest(mask: int) -> int:
+    return mask.bit_length() - 1
+
+
+def _split(
+    rank: list[int],
+    end: int,
+    below: tuple[int, ...],
+    above: tuple[int, ...],
+    principal: dict[int, int],
+    pick: Callable[[int], int],
+) -> tuple[list[int], tuple[int, ...]]:
+    """The a in ``rank`` whose strict ``below``-set is principal, and the flat
+    triples (a, b, c) of two covers b != c for every other a but ``end``.
+
+    A cover is a maximal element of the strict set: from any member, step to
+    a member above it until none is left. c is sought outside below[b]; every
+    member above such a start is outside it too.
+    """
+    irreducibles: list[int] = []
+    split: list[int] = []
+    for a in rank:
+        strict = below[a] ^ (1 << a)
+        if strict in principal:
+            irreducibles.append(a)
+        elif a != end:
+            b = pick(strict)
+            while (over := above[b] & strict) != 1 << b:
+                b = pick(over ^ (1 << b))
+            c = pick(strict & ~below[b])
+            while (over := above[c] & strict) != 1 << c:
+                c = pick(over ^ (1 << c))
+            split += (a, b, c)
+    return irreducibles, tuple(split)
+
+
+def _rows_through_split(
+    start: int,
+    irreducibles: Iterable[int],
+    split: tuple[int, ...],
+    masks: tuple[int, ...],
+    by_mask: dict[int, int],
+) -> tuple[tuple[int, ...], ...]:
+    """Join rows through ``masks`` = up (or meet rows through down): row
+    ``start`` is the identity, each irreducible row is looked up, and each
+    split row is row b read at the entries of row c. KeyError on a failed lookup."""
+    rows: list = [None] * len(masks)
+    rows[start] = tuple(range(len(masks)))
+    for p in irreducibles:
+        mask = masks[p]
+        rows[p] = tuple([by_mask[mask & other] for other in masks])
+    triples = iter(split)
+    for a, b, c in zip(triples, triples, triples):
+        rows[a] = itemgetter(*rows[c])(rows[b])
+    return tuple(rows)
+
+
+def _pair_scan(order: PartialOrder, by_down: dict[int, int], by_up: dict[int, int]) -> None:
+    """Raise NotALattice at the first pair in index order without a meet or a join.
+
+    By symmetry only the pairs x <= y (as indices) are scanned: if (x, y)
+    with x > y failed, (y, x) failed earlier, so the first failing pair has
+    x <= y, and its meet is still tested first.
+    """
+    up, down = order.up, order.down
+    for x in range(order.size):
+        down_x, up_x = down[x], up[x]
+        for y in range(x, order.size):
+            if (down_x & down[y]) not in by_down:
+                raise NotALattice(x, y, "meet")
+            if (up_x & up[y]) not in by_up:
+                raise NotALattice(x, y, "join")
 
 
 def lattice_from_pairs(

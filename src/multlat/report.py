@@ -148,10 +148,13 @@ def _write(obj, nl: str, memo: dict) -> str:
     A dataclass is an object of its fields that are not None, in field order
     (only FlagResult.witness and FlagResult.note are ever None), and a tuple
     is a list; the tuples of a report hold strings or dataclasses, never
-    both. A FlagResult is written once per distinct value and depth.
+    both. A FlagResult is written once per distinct value and depth, keyed
+    by its fields in a plain tuple: hashing that runs in C, while the
+    dataclass's own ``__hash__`` is a Python-level call. A key by identity
+    would miss the equal flags that are separate objects.
     """
     if isinstance(obj, FlagResult):
-        key = (obj, nl)
+        key = (obj.holds, obj.witness, obj.note, nl)
         out = memo.get(key)
         if out is None:
             out = memo[key] = _write_fields(obj, nl, memo)

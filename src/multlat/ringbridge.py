@@ -436,11 +436,14 @@ def ring_is_j_ideal(model, index: int) -> bool:
 
 @dataclass(frozen=True)
 class CrossValidationRow:
-    """One proper ideal's r, n and J verdicts, in ``CANONICAL_SETS`` order."""
+    """One proper ideal's r, n and J verdicts, in ``CANONICAL_SETS`` order.
+
+    The ring and the lattice gave each of them: ``cross_validate`` raises
+    on a disagreement before it builds the row.
+    """
 
     ideal: str
-    ring: tuple[bool, bool, bool]
-    lattice: tuple[bool, bool, bool]
+    verdicts: tuple[bool, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -451,8 +454,7 @@ class CrossValidationReport:
     def render(self) -> str:
         lines = [f"cross-validation {self.name}: ring vs lattice on {len(self.rows)} proper ideals"]
         for row in self.rows:
-            verdicts = zip(CANONICAL_SETS, row.ring, row.lattice)
-            pairs = " ".join(f"{x}={_yn(ring)}/{_yn(lattice)}" for x, ring, lattice in verdicts)
+            pairs = " ".join(f"{x}={_yn(v)}/{_yn(v)}" for x, v in zip(CANONICAL_SETS, row.verdicts))
             lines.append(f"  {row.ideal}: {pairs}")
         lines.append("  all classifications agree")
         return "\n".join(lines)
@@ -474,7 +476,7 @@ def cross_validate(M: MultiplicativeLattice, model) -> CrossValidationReport:
         for which, ring_says, lattice_says in zip(CANONICAL_SETS, ring, lattice):
             if ring_says != lattice_says:
                 raise CrossValidationMismatch(M.name, labels[idx], which, ring_says, lattice_says)
-        rows.append(CrossValidationRow(labels[idx], ring, lattice))
+        rows.append(CrossValidationRow(labels[idx], ring))
     return CrossValidationReport(M.name, tuple(rows))
 
 

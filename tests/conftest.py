@@ -12,6 +12,7 @@ from math import gcd
 
 from multlat import (
     AxiomViolation,
+    NotALattice,
     acceptance_corpus,
     attach_multiplication,
     chain_lattice,
@@ -217,6 +218,86 @@ def join_irreducibles_oracle(M):
     for _, y in M.covers():
         lower_covers[y] += 1
     return tuple(q for q, count in enumerate(lower_covers) if count == 1)
+
+
+def meet_irreducibles_oracle(M):
+    """M(L) from the Hasse diagram: the m covered by exactly one element, in index order."""
+    upper_covers = [0] * M.size
+    for x, _ in M.covers():
+        upper_covers[x] += 1
+    return tuple(m for m, count in enumerate(upper_covers) if count == 1)
+
+
+def assert_cover_splits(L):
+    """``lower_split`` and ``upper_split`` against the Hasse diagram.
+
+    The lower split lists each a outside bottom and J(L) once, as a triple
+    (a, b, c) of two distinct lower covers joining to a, after the triples
+    of b and c; the upper split is the dual, through M(L), top and meets.
+    """
+    name = getattr(L, "name", L.size)
+    lower_covers = [set() for _ in range(L.size)]
+    upper_covers = [set() for _ in range(L.size)]
+    for x, y in L.covers():
+        lower_covers[y].add(x)
+        upper_covers[x].add(y)
+    for split, ends, covers, bound in (
+        (L.lower_split, {L.bottom, *join_irreducibles_oracle(L)}, lower_covers, L.join),
+        (L.upper_split, {L.top, *meet_irreducibles_oracle(L)}, upper_covers, L.meet),
+    ):
+        assert len(split) % 3 == 0, name
+        triples = list(zip(split[0::3], split[1::3], split[2::3]))
+        assert sorted(a for a, _, _ in triples) == sorted(set(range(L.size)) - ends), name
+        done = set(ends)
+        for a, b, c in triples:
+            assert b != c and {b, c} <= covers[a], (name, a, b, c)
+            assert bound(b, c) == a, (name, a, b, c)
+            assert {b, c} <= done, (name, a, b, c)
+            done.add(a)
+
+
+def pair_scan_tables(order):
+    """The meet and join tables by one lookup per pair x <= y (as indices).
+
+    The reference for ``validate_lattice``: the meet of x and y is the
+    element whose down-set is down(x) & down(y), and dually the join. Raises
+    NotALattice at the first pair in index order without one, the meet
+    tested first.
+    """
+    n, up, down = order.size, order.up, order.down
+    by_down = {d: c for c, d in enumerate(down)}
+    by_up = {u: c for c, u in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            glb = by_down.get(down[x] & down[y])
+            if glb is None:
+                raise NotALattice(x, y, "meet")
+            lub = by_up.get(up[x] & up[y])
+            if lub is None:
+                raise NotALattice(x, y, "join")
+            meet[x][y] = meet[y][x] = glb
+            join[x][y] = join[y][x] = lub
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def literal_residual_table(M):
+    """(i : a) for every a and i from the definition: the greatest x with x*a <= i.
+
+    For each a, the x with x*a <= i are collected for every i at once; their
+    greatest element is the one whose down-set they form. None marks a pair
+    where they have no greatest element.
+    """
+    by_down = {d: x for x, d in enumerate(M.order.down)}
+    rows = []
+    for a in range(M.size):
+        fits = [0] * M.size
+        for x in range(M.size):
+            for i in iter_bits(M.order.up[M.product(x, a)]):
+                fits[i] |= 1 << x
+        rows.append(tuple(by_down.get(f) for f in fits))
+    return tuple(rows)
 
 
 def prime_meet_downset(M):

@@ -1,5 +1,7 @@
 """The executable property suite on hand-picked instances."""
 
+import dataclasses
+
 import pytest
 
 from multlat import (
@@ -256,3 +258,43 @@ def test_l4_failure_matches_the_down_set_loop(monkeypatch):
     got = _check_l4(M)
     assert not got.passed and "down-set of (2)" in got.witness
     assert got == l4_by_down_sets(M)
+
+
+def corrupted_twin(M, key, flip):
+    """M with one derived entry changed by ``flip``, every other cache already built."""
+    lemma_suite(M)
+    return dataclasses.replace(M, derived={**M.derived, key: flip(M.derived[key])})
+
+
+def test_l8_reports_a_mask_the_witness_route_contradicts():
+    # A maximal X-element made non-prime in the mask alone: the witness route
+    # still finds no pair, and L8 fails with both answers instead of raising.
+    M = ideal_lattice_zn(12)[0]
+    X = canonical_sets(M)["r"]
+    xels = x_elements(M, X)
+    i = next(i for i in sorted(xels) if not any(j != i and M.leq(i, j) for j in xels))
+    assert M.is_prime(i) and M.prime_witness(i) is None
+    twin = corrupted_twin(M, "_prime_mask", lambda mask: mask & ~(1 << i))
+    failed = [c for c in lemma_suite(twin).find("L8") if not c.passed]
+    assert [c.scope for c in failed] == [X.name]
+    assert failed[0].witness == (
+        f"{M.label(i)} is a maximal X-element but not prime; "
+        "the mask says not prime, but the witness route finds no pair (says prime)"
+    )
+
+
+def test_l3_reports_a_mask_the_witness_route_contradicts():
+    # A local lattice's Jacobson X-elements with one bit cleared in the
+    # canonical set's cached mask: L3 fails naming both answers.
+    M = ideal_lattice_zn(27)[0]
+    assert M.is_local()
+    jset = canonical_sets(M)["j"]
+    i = next(i for i in M.proper_elements() if i != M.bottom)
+    twin = corrupted_twin(M, ("x_element_mask", jset.mask), lambda mask: mask ^ (1 << i))
+    (l3,) = lemma_suite(twin).find("L3")
+    assert not l3.passed
+    assert l3.witness == (
+        f"local with maximal {M.label(next(iter(M.max_elements())))} but {M.label(i)} "
+        "is not an X-element for its down-set; "
+        "the mask says not X-element, but the witness route finds no pair (says X-element)"
+    )

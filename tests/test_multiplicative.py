@@ -41,17 +41,20 @@ from multlat import (
 from multlat import multiplicative, ringbridge
 from multlat.ringbridge import cross_validate
 from multlat.search import PROPERTIES, search_corpus
-from multlat.order import iter_bits, mask_of
+from multlat.order import cover_splits, iter_bits, mask_of
 from conftest import (
     LATTICE_DIR,
+    assert_cover_splits,
     assert_same_derived_data,
     brute_force_axioms_hold,
     div_index,
     first_axiom_violation,
     irreducible_generated_instances,
     join_irreducibles_oracle,
+    literal_residual_table,
     m3_plus_top,
     n5_plus_top,
+    pair_scan_tables,
     subspace_spec_lattice,
     tables_from_irreducibles,
     x_set_instances,
@@ -624,26 +627,47 @@ def test_full_scan_accepting_a_rejected_table_raises(monkeypatch):
         attach_multiplication(M, M.table)
 
 
-def test_lower_cover_split_matches_the_hasse_diagram():
-    # None exactly on bottom and J(L); every other a gets its first two lower
-    # covers in index order, which join to a. Seeded by attach_multiplication,
-    # derived on products, and equal to a fresh computation either way.
+@functools.cache
+def split_instances():
+    """Every distinct lattice of ``x_set_instances()`` (the .lat files among
+    them), prod:4,9 and the subspace spec at seeds 0, 7 and 13."""
     instances = {}
-    for M in (*x_set_instances(), ideal_lattice_product(4, 9)[0], subspace_spec_lattice(0)):
+    for M in (*x_set_instances(), ideal_lattice_product(4, 9)[0],
+              *map(subspace_spec_lattice, (0, 7, 13))):
         instances.setdefault((M.order.down, M.table), M)
+    return tuple(instances.values())
+
+
+def test_lower_cover_split_matches_the_hasse_diagram():
+    # The lower_split and upper_split fields, recorded by validate_lattice
+    # and read off the order by product: every a outside bottom and J(L) (top
+    # and M(L)) once, as two distinct lower (upper) covers joining (meeting)
+    # to a, after the triples of its covers. Fresh validation agrees.
+    instances = split_instances()
     assert len(instances) >= 80
-    for M in instances.values():
-        split = M._lower_cover_split
-        assert split == multiplicative._lower_cover_split(M), M.name
-        irreducibles = join_irreducibles_oracle(M)
-        lower = {a: sorted(x for x, y in M.covers() if y == a) for a in range(M.size)}
-        for a, bc in enumerate(split):
-            if a == M.bottom or a in irreducibles:
-                assert bc is None, (M.name, a)
-                continue
-            b, c = bc
-            assert (b, c) == tuple(lower[a][:2]) and b != c, (M.name, a)
-            assert M.join(b, c) == a, (M.name, a)
+    assert any(M.lower_split and M.upper_split for M in instances)
+    for M in instances:
+        assert_cover_splits(M)
+        L = validate_lattice(M.order)
+        assert (L.lower_split, L.upper_split) == (M.lower_split, M.upper_split), M.name
+        assert cover_splits(M.order, M.bottom, M.top) == (
+            M.join_irreducibles, M.lower_split, M.upper_split), M.name
+
+
+def test_tables_through_the_splits_match_the_pair_scan():
+    for M in split_instances():
+        tables = pair_scan_tables(M.order)
+        L = validate_lattice(M.order)
+        assert (L.meet_table, L.join_table) == tables == (M.meet_table, M.join_table), M.name
+        assert (L.bottom, L.top, L.join_irreducibles) == (M.bottom, M.top, M.join_irreducibles)
+
+
+def test_residual_table_through_the_splits_matches_the_definition():
+    # (i : q) on the M(L) columns of the J(L) rows, then meets over both
+    # splits, against the greatest x with x*a <= i.
+    for M in split_instances():
+        twin = dataclasses.replace(M, derived={})  # a product's table is seeded
+        assert twin._prod_below == literal_residual_table(M) == M._prod_below, M.name
 
 
 def test_split_rows_reject_a_table_the_irreducible_rows_accept():

@@ -18,6 +18,7 @@ from multlat import (
 from multlat import corpus, order, ringbridge
 from multlat.corpus import KITE_COVERS
 from multlat.order import PartialOrder, iter_bits, mask_of
+from conftest import assert_cover_splits, pair_scan_tables
 
 
 def brute_leq(size, pairs):
@@ -210,20 +211,22 @@ def test_mask_helpers():
 
 
 @given(
-    size=st.integers(1, 7),
-    perm=st.permutations(range(7)),
-    pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14),
+    size=st.integers(1, 10),
+    perm=st.permutations(range(10)),
+    pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20),
     bounded=st.booleans(),
 )
 # Bounded, with the crown 1, 2 < 3, 4 inside: the first failure is a join,
 # then (relabelled) a meet, each with the other bound present.
-@example(size=6, perm=list(range(7)), pairs=CROWN, bounded=True)
-@example(size=6, perm=[0, 3, 4, 1, 2, 5, 6], pairs=CROWN, bounded=True)
+@example(size=6, perm=list(range(10)), pairs=CROWN, bounded=True)
+@example(size=6, perm=[0, 3, 4, 1, 2, 5, 6, 7, 8, 9], pairs=CROWN, bounded=True)
 @settings(max_examples=300)
 def test_validate_lattice_matches_brute_force(size, perm, pairs, bounded):
     # Relabel the pairs a < b by a random rank order, so the poset is acyclic
     # but its indices need not be a linear extension. A bounded poset puts
-    # the lowest rank below and the highest above everything.
+    # the lowest rank below and the highest above everything. The tables
+    # come through the cover splits; the brute force and the pair scan
+    # name the same tables, or the same first pair without a bound.
     rank = [p for p in perm if p < size]
     pairs = [(a, b) for a, b in pairs if a < b < size]
     if bounded:
@@ -239,13 +242,18 @@ def test_validate_lattice_matches_brute_force(size, perm, pairs, bounded):
         L = validate_lattice(po)
         for x, y, glb, lub in bounds:
             assert (L.meet(x, y), L.join(x, y)) == (glb, lub)
+        assert (L.meet_table, L.join_table) == pair_scan_tables(po)
         assert all(L.leq(L.bottom, x) and L.leq(x, L.top) for x in range(size))
+        assert_cover_splits(L)
         return
     with pytest.raises(NotALattice) as err:
         validate_lattice(po)
     x, y, glb = first_bad
     assert err.value.witness == (x, y)
     assert (err.value.kind == "meet") == (glb is None)
+    with pytest.raises(NotALattice) as oracle:
+        pair_scan_tables(po)
+    assert (oracle.value.witness, oracle.value.kind) == (err.value.witness, err.value.kind)
 
 
 @given(

@@ -125,3 +125,17 @@ def test_pass_and_improper_flags_are_shared():
     assert all(f is _HOLDS for f in flags if f.holds) and any(f.holds for f in flags)
     assert all(f is _IMPROPER for f in report.rows[M.top].flags.values())
     assert all(f.witness for f in flags if f is not _HOLDS and f is not _IMPROPER)
+
+
+def test_flags_differing_in_one_field_are_written_apart():
+    # The writer keeps each flag's text under the flag's fields: flags that
+    # agree on two fields and differ on the third get texts of their own.
+    report = classify_lattice(ideal_lattice_product(8, 9)[0])
+    flags = {
+        "a": FlagResult(False, None, "one"), "b": FlagResult(False, None, "two"),
+        "c": FlagResult(True, None, "one"), "d": FlagResult(False, ("x",), "one"),
+        "e": FlagResult(False, ("y",), "one"),
+    }
+    row = dataclasses.replace(report.rows[0], flags=flags)
+    edited = dataclasses.replace(report, rows=(row, *report.rows[1:]))
+    assert report_to_json(edited) == json_oracle(edited)

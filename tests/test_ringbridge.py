@@ -108,14 +108,14 @@ def test_divisors_of_a_smooth_huge_modulus():
 def test_every_ring_row_is_an_r_ideal_and_n_agrees_with_j():
     # In a finite commutative ring every non-zero-divisor is a unit, so every
     # proper ideal is an r-ideal; the nilradical is the Jacobson radical, so
-    # the n and J columns agree. Both routes say so on every row.
+    # the n and J columns agree. Every row holds the verdicts both routes gave.
     reports = [cross_validate_zn(n) for n in range(2, 401)]
     reports += [cross_validate_product(m, n) for m in PRODUCT_MODULI for n in PRODUCT_MODULI]
     rows = [row for report in reports for row in report.rows]
     assert len(rows) == 2321
     for row in rows:
-        for r, n, j in (row.ring, row.lattice):
-            assert r and n == j, row
+        r, n, j = row.verdicts
+        assert r and n == j, row
 
 
 def test_modulus_must_be_at_least_two():
@@ -222,8 +222,9 @@ def test_forced_mismatch_is_detected_for_r_and_j(monkeypatch, which):
 
 def test_rows_render_their_verdicts_in_r_n_j_order():
     # On a ring the n and J verdicts always agree, so only a hand-built row
-    # shows which letter each tuple position is written under.
-    row = ringbridge.CrossValidationRow("(2)", (True, False, True), (True, False, True))
+    # shows which letter each tuple position is written under; the ring and
+    # the lattice agreed on each verdict, which is written once per route.
+    row = ringbridge.CrossValidationRow("(2)", (True, False, True))
     assert ringbridge.CrossValidationReport("zn:4", (row,)).render() == "\n".join([
         "cross-validation zn:4: ring vs lattice on 1 proper ideals",
         "  (2): r=yes/yes n=no/no j=yes/yes",
