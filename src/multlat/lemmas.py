@@ -21,6 +21,13 @@ table over J(L), with the lattice's residual-table masks (see
 ``multiplicative``): i <= (i : a) always, since i*a <= i, and
 (i : a) = top exactly when a <= i, since top*a = a. So each costs O(n)
 mask operations per set.
+
+L11 (through ``is_primary``) and L12 ask whether a*b <= i with a not <= i
+forces b into a down-set keep. The b with a*b <= i are the b <= (i : a),
+so it does exactly when R[i], the (i : a) over a not <= i, lies inside
+keep: one mask operation per element, and the suite runs no O(n)
+``escape_witness`` scan. L16 compares Z(L) from the escape masks with a
+second route, the x whose annihilator (bottom : x) is not bottom.
 """
 
 from __future__ import annotations
@@ -328,10 +335,13 @@ def _check_l11(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
 
 def _check_l12(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
     """For the Jacobson down-set: X-element iff the two-part residual condition over maximal elements above."""
+    # The implication, a*b <= i with a not <= i forces b <= m, holds exactly
+    # when every (i : a) with a not <= i is below m: R[i] inside down(m).
     j, maxima = M.jacobson(), M.max_elements()
+    down, values = M.order.down, M._residual_values
     for i in M.proper_elements():
         m = M.big_meet(k for k in maxima if M.leq(i, k))
-        implication = M.escape_witness(i, M.down_mask(i), M.down_mask(m)) is None
+        implication = values[i] & ~down[m] == 0
         rhs = implication and m == j
         lhs = i in xels
         if lhs != rhs:
@@ -401,11 +411,25 @@ def _check_l15(M: MultiplicativeLattice, X: MClosedSet) -> CheckResult:
 
 
 def _check_l16(M: MultiplicativeLattice, canon: dict[str, MClosedSet]) -> CheckResult:
-    """The nil down-set lies inside Z(L) and radical(bottom) below the Jacobson radical.
+    """Z(L) by two routes agrees, the nil down-set lies inside it and radical(bottom) below the Jacobson radical.
 
-    Given these inclusions, L2 finds every n-element among the r- and J-elements.
+    The canonical Z(L) comes from the escape masks; the second route is
+    (bottom : x) != bottom, as x*b = bottom for some b != bottom exactly
+    when b <= (bottom : x). Given the inclusions, L2 finds every n-element
+    among the r- and J-elements.
     """
     rset, nset = canon["r"], canon["n"]
+    bottom = M.bottom
+    by_annihilators = mask_of(x for x, row in enumerate(M._prod_below) if row[bottom] != bottom)
+    if differ := by_annihilators ^ rset.mask:
+        x = (differ & -differ).bit_length() - 1
+        says = ("not a zero divisor", "a zero divisor")
+        return CheckResult(
+            "L16", "global", False,
+            f"Z(L) routes differ first at {M.label(x)}: the escape masks say "
+            f"{says[rset.mask >> x & 1]}, the annihilator ({M.label(bottom)} : {M.label(x)}) = "
+            f"{M.label(M.annihilator(x))} says {says[by_annihilators >> x & 1]}",
+        )
     if nset.mask & ~rset.mask:
         bad = next(iter_bits(nset.mask & ~rset.mask))
         return CheckResult(

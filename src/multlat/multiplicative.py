@@ -343,9 +343,12 @@ class MultiplicativeLattice(FiniteLattice):
     def escape_witness(self, i: int, skip: int, keep: int) -> tuple[int, int] | None:
         """First (a, b) in index order with a*b <= i, a outside skip, b outside keep.
 
-        ``skip`` and ``keep`` are element masks. The primary witness and the
-        suite's L12 use this O(n) scan; where keep is down(i), as for the
-        X-element and prime witnesses, ``residual_witness`` gives the same pair.
+        ``skip`` and ``keep`` are element masks. The primary witness uses
+        this O(n) scan; where keep is down(i), as for the X-element and prime
+        witnesses, ``residual_witness`` gives the same pair. Whether a pair
+        exists at all, for skip = down(i) and a down-set keep, is
+        R[i] & ~keep == 0 (``is_primary``, the suite's L12): the b with
+        a*b <= i are the b <= (i : a).
         """
         below, down = self._prod_below, self.order.down
         for a in range(self.size):
@@ -387,7 +390,13 @@ class MultiplicativeLattice(FiniteLattice):
         return self.escape_witness(i, down[i], down[self.radical(i)])
 
     def is_primary(self, i: int) -> bool:
-        return i != self.top and self.primary_witness(i) is None
+        """Whether i is proper with no pair from ``primary_witness``, read off R[i].
+
+        The b with a*b <= i are the b <= (i : a), and down(radical(i)) is a
+        down-set, so no pair exists exactly when every (i : a) with a not <= i
+        lies below radical(i).
+        """
+        return i != self.top and self._residual_values[i] & ~self.order.down[self.radical(i)] == 0
 
     def maximal_witness(self, m: int) -> int | None:
         """An element strictly between m and top, if one exists."""

@@ -6,11 +6,14 @@ is gcd(d1*d2, n). These tables depend only on the exponent vectors of the
 divisors, so n's lattice is the lattice of its *shape* (n's ascending
 divisors with its i-th prime renamed to the i-th prime; the proof is in
 ``ideal_lattice_zn``), relabelled. Each shape's lattice is built once,
-without labels, from its covers, (d) above (d*p) for each prime p, and
-validated by ``attach_multiplication``. Each modulus is its ``view`` under
-the modulus's labels, which shares the ``derived`` dict, so the caches
-derived from the tables are computed once per shape too; zn:2..1000 has 131
-shapes. Since Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
+without labels, from one step list per prime p, e -> gcd(e*p, n), with no
+``gcd`` call: the steps that move give the covers, (e) above (e*p), and
+row d*p of the multiplication table is row d read at step p (the proofs
+are in ``_shape_lattice``). ``attach_multiplication`` validates the
+table as any other. Each modulus is its ``view`` under the modulus's
+labels, which shares the ``derived`` dict, so the caches derived from the
+tables are computed once per shape too; zn:2..1000 has 131 shapes. Since
+Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
 ``multiplicative.product`` of the two, built componentwise with nothing
 validated again. The ring side never touches that encoding: it works on
 actual ring elements through ``ring_elements``, ``mul``, ``one``, ``zero``,
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import gcd
+from operator import itemgetter
 
 from .classify import CANONICAL_SETS, canonical_sets, x_element_mask
 from .multiplicative import MultiplicativeLattice, attach_multiplication, product
@@ -256,16 +259,43 @@ def _shape(divs: tuple[int, ...]) -> tuple[int, ...]:
 def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
     """The validated lattice indexed by ``shape``, the divisors of shape[-1].
 
-    (d) covers (d*p) for each prime p. It has no labels;
-    ``ideal_lattice_zn`` views it under each modulus's own.
+    It has no labels; ``ideal_lattice_zn`` views it under each modulus's
+    own. The covers and the multiplication table both come from one step
+    list per prime p of n = shape[-1], step_p[e] = the index of gcd(e*p, n),
+    with no ``gcd`` call:
+
+    * gcd(e*p, n) is e*p when e*p divides n and e otherwise, so step_p
+      sends e to e*p where e*p is a divisor and keeps e where it is not;
+      (e) covers (e*p) exactly where the step moves.
+    * gcd(d*p*e, n) = gcd(d*gcd(p*e, n), n): with exponents a_i of d, b_i of
+      p*e and k_i of n, min(a_i + min(b_i, k_i), k_i) = min(a_i + b_i, k_i).
+      So row d*p of the table is row d read at step_p:
+      row[d*p][e] = row[d][step_p[e]], one C-level ``itemgetter`` call per
+      row, from row 1, the identity.
+
+    That is one dict step per divisor and prime and one composition per
+    divisor, where the gcd table takes one ``gcd`` call per pair of
+    divisors. ``attach_multiplication`` validates the table as it would
+    any other.
     """
-    modulus = shape[-1]
+    size = len(shape)
     index = {d: i for i, d in enumerate(shape)}
-    primes = _primes_of(shape)
-    covers = [(index[d * p], i) for i, d in enumerate(shape) for p in primes if modulus % (d * p) == 0]
-    table = [[index[gcd(d * e, modulus)] for e in shape] for d in shape]
-    lattice = validate_lattice(build_order(len(shape), covers))
-    return attach_multiplication(lattice, table)
+    steps = [[index.get(e * p, i) for i, e in enumerate(shape)] for p in _primes_of(shape)]
+    moves = [(step, itemgetter(*step)) for step in steps]
+    rows: list = [None] * size
+    rows[0] = tuple(range(size))
+    covers = []
+    # Each divisor d*p lies after d in ascending order, so row d is set before
+    # it is read.
+    for i in range(size):
+        for step, compose in moves:
+            j = step[i]
+            if j != i:
+                covers.append((j, i))
+                if rows[j] is None:
+                    rows[j] = compose(rows[i])
+    lattice = validate_lattice(build_order(size, covers))
+    return attach_multiplication(lattice, rows)
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)

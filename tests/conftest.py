@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import json
@@ -132,6 +133,17 @@ def x_set_instances():
         yield load_path(path)[0]
     yield ideal_lattice_product(72, 72)[0]
     yield from irreducible_generated_instances()
+
+
+@functools.cache
+def distinct_instances():
+    """Every distinct lattice of ``x_set_instances()`` (the .lat files among
+    them), prod:4,9 and the subspace spec at seeds 0, 7 and 13."""
+    instances = {}
+    for M in (*x_set_instances(), ideal_lattice_product(4, 9)[0],
+              *map(subspace_spec_lattice, (0, 7, 13))):
+        instances.setdefault((M.order.down, M.table), M)
+    return tuple(instances.values())
 
 
 def count_x_decisions(monkeypatch, deciding_module):

@@ -22,7 +22,13 @@ from multlat import (
 )
 from multlat.classify import distinct_sets
 from multlat.lemmas import CheckResult, _check_l4, _lbl
-from conftest import div_index, prime_meet_downset, x_set_instances
+from conftest import (
+    distinct_instances,
+    div_index,
+    prime_meet_downset,
+    subspace_spec_lattice,
+    x_set_instances,
+)
 
 
 def assert_suite_passes(report):
@@ -165,8 +171,8 @@ def test_suite_reports_failures_with_witnesses(z12, monkeypatch):
 )
 def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
     # One mask decision per distinct set, which every check reads (L3 the
-    # Jacobson set's); no element is decided on its own. The only O(n)
-    # escape scans left are L11's primary test and L12's, one per element.
+    # Jacobson set's); no element is decided on its own. L11's primary test
+    # and L12 read the residual-value masks, so no O(n) escape scan runs.
     import multlat.lemmas as lemmas
     from conftest import count_x_decisions
 
@@ -174,9 +180,8 @@ def test_suite_decides_each_x_element_once_per_set(build, monkeypatch):
     counts = count_x_decisions(monkeypatch, lemmas)
     assert_suite_passes(lemmas.lemma_suite(M))
     distinct = [X.members for X in distinct_sets(canonical_sets(M).values())]
-    p = len(M.proper_elements())
     assert counts["sets"] == distinct, (counts["sets"], distinct)
-    assert (counts["per_element"], counts["escape"]) == (0, 2 * p), counts
+    assert (counts["per_element"], counts["escape"]) == (0, 0), counts
 
 
 def test_join_escapes_read_the_decided_x_elements(z15, monkeypatch, capsys):
@@ -298,3 +303,53 @@ def test_l3_reports_a_mask_the_witness_route_contradicts():
         "is not an X-element for its down-set; "
         "the mask says not X-element, but the witness route finds no pair (says X-element)"
     )
+
+
+def test_primary_and_l12_masks_match_the_escape_scan():
+    # is_primary and L12 read R[i] against a down-set; the ordered escape
+    # scan over a not <= i answers the same question pair by pair.
+    instances = distinct_instances()
+    assert len(instances) >= 80
+    for M in instances:
+        down, values, maxima = M.order.down, M._residual_values, M.max_elements()
+        for i in M.proper_elements():
+            assert M.is_primary(i) == (M.primary_witness(i) is None), (M.name, i)
+            m = M.big_meet(k for k in maxima if M.leq(i, k))
+            scanned = M.escape_witness(i, down[i], down[m]) is None
+            assert (values[i] & ~down[m] == 0) == scanned, (M.name, i, m)
+
+
+@pytest.mark.parametrize("build", [lambda: ideal_lattice_zn(27)[0], lambda: subspace_spec_lattice(0)],
+                         ids=["zn:27", "subspace-spec"])
+def test_l11_reports_a_corrupted_residual_value_mask(build):
+    # One residual value added to R[i] at an n-element i below its radical,
+    # outside down(radical(i)): is_primary now says no, and L11 fails at i.
+    M = build()
+    nset = canonical_sets(M)["n"]
+    i = min(i for i in x_elements(M, nset) if M.radical(i) != i)
+    outside = M.full_mask & ~M.order.down[M.radical(i)]
+    x = (outside & -outside).bit_length() - 1
+    twin = corrupted_twin(M, "_residual_values", lambda R: (*R[:i], R[i] ^ 1 << x, *R[i + 1:]))
+    assert M.is_primary(i) and not twin.is_primary(i)
+    (l11,) = lemma_suite(twin).find("L11")
+    assert not l11.passed
+    assert l11.witness == f"{M.label(i)}: X-element=True but primary-with-radical-the-prime-meet=False"
+
+
+@pytest.mark.parametrize("build", [lambda: ideal_lattice_zn(12)[0], lambda: subspace_spec_lattice(0)],
+                         ids=["zn:12", "subspace-spec"])
+def test_l16_reports_a_zero_divisor_mask_the_annihilators_contradict(build):
+    # One bit of _zdiv_mask flipped, set at top and cleared at bottom: the
+    # annihilator route disagrees there, and L16 names both answers.
+    M = build()
+    assert [c.render() for c in lemma_suite(M).find("L16")] == ["L16 [global] pass"]
+    bot, top = M.bottom, M.top
+    for x, said, says, ann in ((top, "a zero divisor", "not a zero divisor", bot),
+                               (bot, "not a zero divisor", "a zero divisor", top)):
+        twin = corrupted_twin(M, "_zdiv_mask", lambda mask: mask ^ 1 << x)
+        (l16,) = lemma_suite(twin).find("L16")
+        assert not l16.passed
+        assert l16.witness == (
+            f"Z(L) routes differ first at {M.label(x)}: the escape masks say {said}, "
+            f"the annihilator ({M.label(bot)} : {M.label(x)}) = {M.label(ann)} says {says}"
+        )

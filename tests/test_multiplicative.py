@@ -47,6 +47,7 @@ from conftest import (
     assert_cover_splits,
     assert_same_derived_data,
     brute_force_axioms_hold,
+    distinct_instances,
     div_index,
     first_axiom_violation,
     irreducible_generated_instances,
@@ -55,7 +56,6 @@ from conftest import (
     m3_plus_top,
     n5_plus_top,
     pair_scan_tables,
-    subspace_spec_lattice,
     tables_from_irreducibles,
     x_set_instances,
 )
@@ -627,23 +627,12 @@ def test_full_scan_accepting_a_rejected_table_raises(monkeypatch):
         attach_multiplication(M, M.table)
 
 
-@functools.cache
-def split_instances():
-    """Every distinct lattice of ``x_set_instances()`` (the .lat files among
-    them), prod:4,9 and the subspace spec at seeds 0, 7 and 13."""
-    instances = {}
-    for M in (*x_set_instances(), ideal_lattice_product(4, 9)[0],
-              *map(subspace_spec_lattice, (0, 7, 13))):
-        instances.setdefault((M.order.down, M.table), M)
-    return tuple(instances.values())
-
-
 def test_lower_cover_split_matches_the_hasse_diagram():
     # The lower_split and upper_split fields, recorded by validate_lattice
     # and read off the order by product: every a outside bottom and J(L) (top
     # and M(L)) once, as two distinct lower (upper) covers joining (meeting)
     # to a, after the triples of its covers. Fresh validation agrees.
-    instances = split_instances()
+    instances = distinct_instances()
     assert len(instances) >= 80
     assert any(M.lower_split and M.upper_split for M in instances)
     for M in instances:
@@ -655,7 +644,7 @@ def test_lower_cover_split_matches_the_hasse_diagram():
 
 
 def test_tables_through_the_splits_match_the_pair_scan():
-    for M in split_instances():
+    for M in distinct_instances():
         tables = pair_scan_tables(M.order)
         L = validate_lattice(M.order)
         assert (L.meet_table, L.join_table) == tables == (M.meet_table, M.join_table), M.name
@@ -665,7 +654,7 @@ def test_tables_through_the_splits_match_the_pair_scan():
 def test_residual_table_through_the_splits_matches_the_definition():
     # (i : q) on the M(L) columns of the J(L) rows, then meets over both
     # splits, against the greatest x with x*a <= i.
-    for M in split_instances():
+    for M in distinct_instances():
         twin = dataclasses.replace(M, derived={})  # a product's table is seeded
         assert twin._prod_below == literal_residual_table(M) == M._prod_below, M.name
 

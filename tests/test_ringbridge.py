@@ -611,9 +611,11 @@ def test_shared_shapes_match_the_per_modulus_build_up_to_2000():
         assert_matches_the_per_modulus_build(n)
 
 
-@pytest.mark.parametrize("n", [55440, 720720, 510510])
+@pytest.mark.parametrize("n", [55440, 720720, 510510, 2**20, 3**4 * 5**3 * 7**2])
 def test_large_moduli_match_the_per_modulus_build(n):
-    # 510510 = 2*3*5*7*11*13*17, seven primes renamed to themselves.
+    # 510510 = 2*3*5*7*11*13*17, seven primes renamed to themselves. 2**20
+    # and 3**4*5**3*7**2 have deep exponents, so many steps e -> gcd(e*p, n)
+    # keep e (e*p does not divide n).
     assert_matches_the_per_modulus_build(n)
 
 
