@@ -337,10 +337,10 @@ def _check_l12(M: MultiplicativeLattice, xels: frozenset[int]) -> CheckResult:
     """For the Jacobson down-set: X-element iff the two-part residual condition over maximal elements above."""
     # The implication, a*b <= i with a not <= i forces b <= m, holds exactly
     # when every (i : a) with a not <= i is below m: R[i] inside down(m).
-    j, maxima = M.jacobson(), M.max_elements()
-    down, values = M.order.down, M._residual_values
+    j, maxima = M.jacobson(), M._max_mask
+    up, down, values = M.order.up, M.order.down, M._residual_values
     for i in M.proper_elements():
-        m = M.big_meet(k for k in maxima if M.leq(i, k))
+        m = M.big_meet(iter_bits(up[i] & maxima))
         implication = values[i] & ~down[m] == 0
         rhs = implication and m == j
         lhs = i in xels

@@ -9,8 +9,9 @@ are checked through the join-irreducibles J(L), which every element is the
 join of. Distribution: each row p in J(L) over L x J(L), and every other
 row a != bottom as the elementwise join of the rows of two lower covers of
 a, which join to a (the lattice's ``lower_split``): O(n |J|^2 + n^2)
-entries. Associativity: over J(L)^3. A table they reject is scanned again
-over all tuples, which names the first violation.
+entries. Associativity: over J(L)^3. A table that fails any check is
+scanned again, axiom by axiom, over all tuples, which names the first
+violation.
 A table that survives is returned as a :class:`MultiplicativeLattice`,
 which computes on first use, and keeps in its ``derived`` dict, the data
 the classification sweeps lean on: radicals (by two independent formulas,
@@ -52,10 +53,11 @@ element a *escapes* at i when a*b <= i for some b not <= i.
   (i : a) = top exactly when a <= i; so R[i] is column i of the residual
   table without top.
 
-``product`` builds A x B from two validated factors
-componentwise, its residual table and J(L) included. It validates nothing:
-every axiom is an equation, and an equation holds in A x B exactly when it
-holds in A and in B (the proof is in its docstring).
+``product`` builds A x B from two validated factors: its order masks go
+through ``validate_lattice`` like any other lattice's, and its
+multiplication and residual tables are combined componentwise. The table is
+not validated again: every axiom is an equation, and an equation holds in
+A x B exactly when it holds in A and in B (the proof is in its docstring).
 
 Every query is pure; negative classification answers expose the first
 violating tuple in element-index order.
@@ -69,7 +71,7 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .order import FiniteLattice, PartialOrder, cover_splits, iter_bits, mask_of
+from .order import FiniteLattice, PartialOrder, iter_bits, mask_of, validate_lattice
 
 
 class AxiomViolation(ValueError):
@@ -478,45 +480,29 @@ def attach_multiplication(
       included, in each argument; so they agree everywhere once they agree
       on J(L)^3.
 
-    A table these checks reject is scanned again over all tuples in index
-    order, which names the first violation. Entry range, commutativity,
-    identity and annihilation are whole-table tests, and a table that fails
-    one has its entries scanned in index order too. The bound a*b <= a^b
-    needs no scan: distribution over the pair (b, top) gives
+    Entry range, commutativity, identity and annihilation are whole-table
+    tests. A table that fails any check is scanned again by
+    ``_full_axiom_scan``, axiom by axiom in the order above and each over
+    all tuples in index order, which names the first violation. The bound
+    a*b <= a^b needs no scan: distribution over the pair (b, top) gives
     a = a*top = a*b v a*top, so a*b <= a, and by commutativity a*b <= b.
     """
     rows = tuple(map(tuple, table))
     n = lattice.size
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"table must be {n}x{n}")
-    if not set().union(*rows).issubset(range(n)):
-        for a in range(n):
-            for b in range(n):
-                v = rows[a][b]
-                if not (0 <= v < n):
-                    raise AxiomViolation("closure", (a, b), f"entry {v} out of range")
-    if rows != tuple(zip(*rows)):
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rows[a][b] != rows[b][a]:
-                    raise AxiomViolation(
-                        "commutativity", (a, b), f"{rows[a][b]} != {rows[b][a]}"
-                    )
-    top, bottom = lattice.top, lattice.bottom
-    # By commutativity, row top is the column a*top and row bottom the column a*bottom.
-    if rows[top] != tuple(range(n)) or rows[bottom] != (bottom,) * n:
-        for a in range(n):
-            if rows[a][top] != a:
-                raise AxiomViolation("identity", (a,), f"a*top = {rows[a][top]}")
-            if rows[a][bottom] != bottom:
-                raise AxiomViolation("annihilation", (a,), f"a*bottom = {rows[a][bottom]}")
     irreducibles = lattice.join_irreducibles
+    # By commutativity, row top is the column a*top and row bottom the column a*bottom.
     if not (
-        _distributes_over_irreducibles(rows, lattice.join_table, irreducibles, lattice.lower_split)
+        set().union(*rows).issubset(range(n))
+        and rows == tuple(zip(*rows))
+        and rows[lattice.top] == tuple(range(n))
+        and rows[lattice.bottom] == (lattice.bottom,) * n
+        and _distributes_over_irreducibles(rows, lattice.join_table, irreducibles, lattice.lower_split)
         and _associative_on_irreducibles(rows, irreducibles)
     ):
         _full_axiom_scan(lattice, rows)
-        raise RuntimeError("the full axiom scan accepts a table the J(L) checks reject")
+        raise RuntimeError("the full axiom scan accepts a table the whole-table and J(L) checks reject")
     return MultiplicativeLattice(
         lattice.order, lattice.bottom, lattice.top, lattice.meet_table, lattice.join_table,
         lattice.labels, lattice.join_irreducibles, lattice.lower_split, lattice.upper_split,
@@ -562,8 +548,23 @@ def _associative_on_irreducibles(
 
 
 def _full_axiom_scan(lattice: FiniteLattice, rows: tuple[tuple[int, ...], ...]) -> None:
-    """Distribution, then associativity, over all tuples; raises at the first failure."""
+    """Every axiom in ``attach_multiplication``'s order, over all tuples; raises at the first failure."""
     n = lattice.size
+    for a in range(n):
+        for b in range(n):
+            v = rows[a][b]
+            if not (0 <= v < n):
+                raise AxiomViolation("closure", (a, b), f"entry {v} out of range")
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rows[a][b] != rows[b][a]:
+                raise AxiomViolation("commutativity", (a, b), f"{rows[a][b]} != {rows[b][a]}")
+    top, bottom = lattice.top, lattice.bottom
+    for a in range(n):
+        if rows[a][top] != a:
+            raise AxiomViolation("identity", (a,), f"a*top = {rows[a][top]}")
+        if rows[a][bottom] != bottom:
+            raise AxiomViolation("annihilation", (a,), f"a*bottom = {rows[a][bottom]}")
     join = lattice.join_table
     for a in range(n):
         row_a = rows[a]
@@ -593,36 +594,29 @@ def _full_axiom_scan(lattice: FiniteLattice, rows: tuple[tuple[int, ...], ...]) 
 
 
 def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L") -> MultiplicativeLattice:
-    """The product A x B, built componentwise from the two validated factors.
+    """The product A x B of two validated factors.
 
     (a1, a2) has index a1*k2 + a2, with k2 = B.size, and label
-    ``f"{label1}x{label2}"``. The order, meet, join, multiplication and
-    residual tables, bottom and top all come from the factors' data;
-    nothing is validated again, because nothing can fail:
+    ``f"{label1}x{label2}"``. The componentwise order masks go through
+    ``validate_lattice``, which fixes bottom and top, builds the meet and
+    join tables and records J(L) and both cover splits, as for any other
+    lattice; it raises ValueError when two label pairs join to the same
+    label. The multiplication and residual tables are combined from the
+    factors' and not validated again, because nothing can fail:
 
-    * The componentwise order is a partial order, and the componentwise meet
-      and join are the greatest lower and least upper bounds in it; bottom
-      and top are (bottom, bottom) and (top, top).
     * Every multiplicative-lattice axiom is an equation between terms in *,
-      v, top and bottom. Each term evaluates componentwise, so an equation
+      v, top and bottom. Each term evaluates componentwise (the join of the
+      componentwise order is the componentwise join), so an equation
       holds in A x B exactly when it holds in A and in B, which
       ``attach_multiplication`` checked when it built them.
     * x*a <= i holds exactly when x1*a1 <= i1 and x2*a2 <= i2, so the largest
       such x is ((i1 : a1), (i2 : a2)).
 
-    The residual table goes into ``derived`` at construction. J(L) and the
-    two cover splits are the one step not taken componentwise:
-    ``cover_splits`` reads them off the product's order masks, as
-    ``validate_lattice`` would.
-    Raises ValueError when two label pairs join to the same label.
+    The residual table goes into ``derived`` at construction.
     """
     k1, k2 = A.size, B.size
-    n = k1 * k2
-    labels = tuple(f"{a}x{b}" for a in A.labels for b in B.labels)
-    if len(set(labels)) != n:
-        raise ValueError("duplicate labels")
-    # cells[x1] holds the indices x1*k2 .. x1*k2 + k2 - 1; every table entry is
-    # picked from these tuples, so the tables share one int object per index.
+    # cells[x1] holds the indices x1*k2 .. x1*k2 + k2 - 1; every combined entry
+    # is picked from these tuples, so both tables share one int object per index.
     cells = [tuple(range(x1 * k2, x1 * k2 + k2)) for x1 in range(k1)]
 
     def combine(left, right) -> tuple[tuple[int, ...], ...]:
@@ -642,22 +636,12 @@ def product(A: MultiplicativeLattice, B: MultiplicativeLattice, name: str = "L")
         spread = [sum(full_b << (x1 * k2) for x1 in iter_bits(m)) for m in rows_a]
         return tuple(s & (m * tile) for s in spread for m in rows_b)
 
-    order = PartialOrder(n, masks(A.order.up, B.order.up), masks(A.order.down, B.order.down))
-    bottom, top = A.bottom * k2 + B.bottom, A.top * k2 + B.top
-    irreducibles, lower_split, upper_split = cover_splits(order, bottom, top)
+    order = PartialOrder(k1 * k2, masks(A.order.up, B.order.up), masks(A.order.down, B.order.down))
+    L = validate_lattice(order, (f"{a}x{b}" for a in A.labels for b in B.labels))
     return MultiplicativeLattice(
-        order=order,
-        bottom=bottom,
-        top=top,
-        meet_table=combine(A.meet_table, B.meet_table),
-        join_table=combine(A.join_table, B.join_table),
-        labels=labels,
-        join_irreducibles=irreducibles,
-        lower_split=lower_split,
-        upper_split=upper_split,
-        table=combine(A.table, B.table),
-        name=name,
-        derived={"_prod_below": combine(A._prod_below, B._prod_below)},
+        L.order, L.bottom, L.top, L.meet_table, L.join_table,
+        L.labels, L.join_irreducibles, L.lower_split, L.upper_split,
+        combine(A.table, B.table), name, {"_prod_below": combine(A._prod_below, B._prod_below)},
     )
 
 

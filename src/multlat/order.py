@@ -221,7 +221,7 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
     J(L), the q covering exactly one element, are the q whose strict down-set
     is principal (bottom's is empty, so never): one lookup each in that
     index; M(L) dually. The tables are built through the splits
-    (``cover_splits``):
+    (``_cover_splits``):
 
     * Join rows: bottom's row is the identity and the rows of J(L) are
       lookups, n*|J| of them. Every other a is b v c for two lower covers;
@@ -263,16 +263,6 @@ def validate_lattice(order: PartialOrder, labels: Iterable[str] | None = None) -
             )
     _pair_scan(order, by_down, by_up)
     raise RuntimeError("the pair scan accepts an order the cover splits reject")
-
-
-def cover_splits(
-    order: PartialOrder, bottom: int, top: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """J(L), the lower and the upper split of a lattice's order, as ``validate_lattice`` records them."""
-    by_down = {d: c for c, d in enumerate(order.down)}
-    by_up = {u: c for c, u in enumerate(order.up)}
-    irreducibles, lower, _, upper = _cover_splits(order, by_down, by_up, bottom, top)
-    return irreducibles, lower, upper
 
 
 def _cover_splits(

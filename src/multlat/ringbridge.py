@@ -5,17 +5,20 @@ reverse divisibility, sum is gcd, intersection is lcm, and the ideal product
 is gcd(d1*d2, n). These tables depend only on the exponent vectors of the
 divisors, so n's lattice is the lattice of its *shape* (n's ascending
 divisors with its i-th prime renamed to the i-th prime; the proof is in
-``ideal_lattice_zn``), relabelled. Each shape's lattice is built once,
-without labels, from one step list per prime p, e -> gcd(e*p, n), with no
-``gcd`` call: the steps that move give the covers, (e) above (e*p), and
-row d*p of the multiplication table is row d read at step p (the proofs
-are in ``_shape_lattice``). ``attach_multiplication`` validates the
-table as any other. Each modulus is its ``view`` under the modulus's
-labels, which shares the ``derived`` dict, so the caches derived from the
-tables are computed once per shape too; zn:2..1000 has 131 shapes. Since
+``ideal_lattice_zn``), relabelled. n is factored once, by trial division,
+and that pass yields both its divisors and its shape
+(``_divisors_and_shape``). Each shape's lattice is built once, without
+labels, from one step list per prime p, e -> gcd(e*p, n), with no ``gcd``
+call: the steps that move give the covers, (e) above (e*p), and row d*p of
+the multiplication table is row d read at step p (the proofs are in
+``_shape_lattice``). ``attach_multiplication`` validates the table as any
+other. Each modulus is its ``view`` under the modulus's labels, which
+shares the ``derived`` dict, so the caches derived from the tables are
+computed once per shape too; zn:2..1000 has 131 shapes. Since
 Id(Z_m x Z_n) = Id(Z_m) x Id(Z_n), the lattice of Z_m x Z_n is
-``multiplicative.product`` of the two, built componentwise with nothing
-validated again. The ring side never touches that encoding: it works on
+``multiplicative.product`` of the two: its order is validated like any
+other lattice's, and its multiplication and residual tables are combined
+from the factors'. The ring side never touches that encoding: it works on
 actual ring elements through ``ring_elements``, ``mul``, ``one``, ``zero``,
 ``ideal_subset`` and ``proper_indices``, so agreement between the two
 classifications is a genuine two-route check rather than one algorithm
@@ -53,8 +56,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import repeat, takewhile
 from operator import itemgetter
+from typing import Iterator
 
 from .classify import CANONICAL_SETS, canonical_sets, x_element_mask
 from .multiplicative import MultiplicativeLattice, attach_multiplication, product
@@ -75,28 +79,50 @@ class CrossValidationMismatch(RuntimeError):
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """Ascending divisors of n, generated from its factorization.
+    """Ascending divisors of n, generated from its factorization."""
+    return _divisors_and_shape(n)[0]
+
+
+def _divisors_and_shape(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """n's ascending divisors, and its shape: each of them with the i-th prime
+    of n renamed to the i-th prime, in the same order.
 
     Trial division by p = 2, 3, 5, 7, ... (2, then the odd numbers) divides
     each prime p out of n with its exponent k and multiplies the divisors
     found so far by p, ..., p^k. It stops once p*p exceeds the remaining
     cofactor, which is then 1 or a prime. So a smooth n takes a few steps
     (10**18, with 361 divisors, takes three), where testing every d up to
-    sqrt(n) takes 10**9.
+    sqrt(n) takes 10**9. Each divisor d carries its renamed twin: the primes
+    of n are found in ascending order, so the i-th of them is renamed to
+    the i-th prime q, and d*p^j to twin(d)*q^j.
     """
-    divs, rest, p = [1], n, 2
+    pairs, rest, p = [(1, 1)], n, 2
+    renamed = _primes()
     while p * p <= rest:
         if rest % p == 0:
-            layer = divs
+            q, layer = next(renamed), pairs
             while rest % p == 0:
                 rest //= p
-                layer = [d * p for d in layer]
-                divs += layer
+                layer = [(d * p, t * q) for d, t in layer]
+                pairs += layer
         p += 1 if p == 2 else 2
     if rest > 1:
-        divs += [d * rest for d in divs]
-    divs.sort()
-    return tuple(divs)
+        q = next(renamed)
+        pairs += [(d * rest, t * q) for d, t in pairs]
+    pairs.sort()
+    divs, shape = zip(*pairs)
+    return divs, shape
+
+
+def _primes() -> Iterator[int]:
+    """2, 3, 5, 7, ...: each q that no smaller prime divides."""
+    found: list[int] = []
+    q = 2
+    while True:
+        if all(q % p for p in found):
+            found.append(q)
+            yield q
+        q += 1
 
 
 def _ideal_label(d: int, modulus: int) -> str:
@@ -216,45 +242,6 @@ class ProductRingModel(_RingSets):
 _LATTICE_CACHE_SIZE = 256
 
 
-def _primes_of(divs: tuple[int, ...]) -> list[int]:
-    """The divisors above 1 with no smaller prime divisor, in ``divs`` order.
-
-    ``divs`` lists every divisor after its own divisors, so a composite d
-    meets a prime factor of it first.
-    """
-    primes: list[int] = []
-    for d in divs[1:]:
-        if all(d % p for p in primes):
-            primes.append(d)
-    return primes
-
-
-def _shape(divs: tuple[int, ...]) -> tuple[int, ...]:
-    """n's ascending divisors with the i-th prime of n renamed to the i-th prime.
-
-    A d > 1 that a prime p of n met so far divides is d' * p with
-    d' = d // p earlier, so renamed(d) = renamed(d') * renamed(p). Any other
-    d is the next prime of n. It is renamed to the least q above the last
-    renamed prime that no renamed prime divides; those are all the primes
-    below q, so q is the next prime.
-    """
-    renamed = {1: 1}
-    primes: list[tuple[int, int]] = []  # (p, renamed(p))
-    q = 1
-    for d in divs[1:]:
-        for p, r in primes:
-            if d % p == 0:
-                renamed[d] = renamed[d // p] * r
-                break
-        else:
-            q += 1
-            while not all(q % r for _, r in primes):
-                q += 1
-            primes.append((d, q))
-            renamed[d] = q
-    return tuple(map(renamed.__getitem__, divs))
-
-
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
     """The validated lattice indexed by ``shape``, the divisors of shape[-1].
@@ -262,7 +249,8 @@ def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
     It has no labels; ``ideal_lattice_zn`` views it under each modulus's
     own. The covers and the multiplication table both come from one step
     list per prime p of n = shape[-1], step_p[e] = the index of gcd(e*p, n),
-    with no ``gcd`` call:
+    with no ``gcd`` call. The primes of a shape's n are the first primes,
+    so they are 2, 3, 5, ... for as long as the index holds them.
 
     * gcd(e*p, n) is e*p when e*p divides n and e otherwise, so step_p
       sends e to e*p where e*p is a divisor and keeps e where it is not;
@@ -280,7 +268,8 @@ def _shape_lattice(shape: tuple[int, ...]) -> MultiplicativeLattice:
     """
     size = len(shape)
     index = {d: i for i, d in enumerate(shape)}
-    steps = [[index.get(e * p, i) for i, e in enumerate(shape)] for p in _primes_of(shape)]
+    primes = takewhile(index.__contains__, _primes())
+    steps = [[index.get(e * p, i) for i, e in enumerate(shape)] for p in primes]
     moves = [(step, itemgetter(*step)) for step in steps]
     rows: list = [None] * size
     rows[0] = tuple(range(size))
@@ -306,12 +295,14 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     p_r^k_r with p_1 < ... < p_r, and rename each divisor
     d = p_1^a_1 * ... * p_r^a_r to renamed(d) = P_1^a_1 * ... * P_r^a_r,
     P_i the i-th prime. The shape is the tuple of renamed divisors in n's
-    ascending divisor order. Renaming is a bijection from the divisors of n
-    to those of renamed(n) that keeps each exponent vector (a_1, ..., a_r),
-    and everything the builder reads is a function of those vectors: for
-    d' with exponents b_i, d | d' is a_i <= b_i for each i, gcd(d, d') and
-    lcm(d, d') have exponents min(a_i, b_i) and max(a_i, b_i), and
-    gcd(d*d', n) has exponents min(a_i + b_i, k_i). So renaming preserves
+    ascending divisor order; ``_divisors_and_shape`` finds both tuples in
+    the one trial-division pass that factors n. Renaming is a bijection
+    from the divisors of n to those of renamed(n) that keeps each exponent
+    vector (a_1, ..., a_r), and everything the builder reads is a function
+    of those vectors: for d' with exponents b_i, d | d' is a_i <= b_i for
+    each i, gcd(d, d') and lcm(d, d') have exponents min(a_i, b_i) and
+    max(a_i, b_i), and gcd(d*d', n) has exponents min(a_i + b_i, k_i).
+    So renaming preserves
     divisibility, gcd, lcm and gcd(d*d', n), and the covers, order masks,
     meet, join and multiplication tables built from the shape equal those
     of n index for index, bottom (0) and top (1) included; only the labels
@@ -325,9 +316,9 @@ def ideal_lattice_zn(n: int) -> tuple[MultiplicativeLattice, ZnIdealModel]:
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    divs = divisors(n)
+    divs, shape = _divisors_and_shape(n)
     model = ZnIdealModel(n, divs)
-    return _shape_lattice(_shape(divs)).view(model.labels(), f"zn:{n}"), model
+    return _shape_lattice(shape).view(model.labels(), f"zn:{n}"), model
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)

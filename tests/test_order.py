@@ -397,6 +397,6 @@ def test_acyclic_builds_never_fall_back_to_warshall(monkeypatch, lattice_dir):
     for path in paths:
         load_path(path)
     assert built == 199 + 36 + 7 + 1 + 8 and paths
-    shapes = {ringbridge._shape(ringbridge.divisors(n)) for n in range(2, 201)}
-    assert {ringbridge._shape(ringbridge.divisors(m)) for m in corpus.PRODUCT_MODULI} <= shapes
+    shapes = {ringbridge._divisors_and_shape(n)[1] for n in range(2, 201)}
+    assert {ringbridge._divisors_and_shape(m)[1] for m in corpus.PRODUCT_MODULI} <= shapes
     assert len(builds) == len(shapes) + 7 + 1 + 8 + len(paths)

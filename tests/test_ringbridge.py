@@ -9,8 +9,8 @@ import dataclasses
 import functools
 from array import array
 from collections import Counter
-from itertools import compress
-from math import gcd
+from itertools import compress, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +103,46 @@ def test_divisors_of_a_smooth_huge_modulus():
     assert all(10**18 % d == 0 for d in divs)
     assert all(a < b for a, b in zip(divs, divs[1:]))
     assert (divs[0], divs[-1]) == (1, 10**18)
+
+
+def exponent_vector_oracle(n):
+    """(divisors, shape) of n from its exponent vectors, sorted by divisor.
+
+    With n = p_1^k_1 * ... * p_r^k_r, every vector (a_1, ..., a_r) with
+    a_i <= k_i gives the divisor p_1^a_1 * ... * p_r^a_r and its renamed
+    twin P_1^a_1 * ... * P_r^a_r, P_i the i-th prime.
+    """
+    exponents, rest, p = {}, n, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            rest //= p
+        p += 1
+    if rest > 1:
+        exponents[rest] = 1
+    firsts = [q for q in range(2, 60) if all(q % r for r in range(2, q))][: len(exponents)]
+    pairs = sorted(
+        (prod(map(pow, exponents, vector)), prod(map(pow, firsts, vector)))
+        for vector in product(*(range(k + 1) for k in exponents.values()))
+    )
+    return tuple(d for d, _ in pairs), tuple(t for _, t in pairs)
+
+
+def test_divisors_and_shape_match_the_exponent_vectors_up_to_5000():
+    for n in range(2, 5001):
+        assert ringbridge._divisors_and_shape(n) == exponent_vector_oracle(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [510510, 735134400, 6983776800, 10**18, 2**20, 3**4 * 5**3 * 7**2, 1000003 * 1000033],
+)
+def test_divisors_and_shape_of_large_moduli_match_the_exponent_vectors(n):
+    # Seven primes, two highly composite moduli, deep exponents on one and
+    # on several primes, and two large primes that trial division must reach.
+    divs, shape = ringbridge._divisors_and_shape(n)
+    assert (divs, shape) == exponent_vector_oracle(n), n
+    assert divisors(n) == divs
 
 
 def test_every_ring_row_is_an_r_ideal_and_n_agrees_with_j():
@@ -548,25 +588,36 @@ def test_builders_pass_exactly_the_cover_pairs(monkeypatch, moduli):
 
 @pytest.mark.parametrize("moduli", [(4, 9), (25, 8), (28, 30), (72, 72)], ids=ring_id)
 def test_products_validate_only_their_factors(monkeypatch, moduli):
-    # A product is built from its two factor lattices and validates nothing
-    # itself, nor computes its residual table; each distinct divisor shape
-    # of the factors goes through build_order, validate_lattice and
-    # attach_multiplication once, on the factor's size (4 and 9 share one
-    # shape, and so do 72 and 72).
+    # A product is built from its two factor lattices. It validates its own
+    # componentwise order once, through validate_lattice, and neither builds
+    # an order from pairs nor validates a table, nor computes its residual
+    # table; each distinct divisor shape of the factors goes through
+    # build_order, validate_lattice and attach_multiplication once, on the
+    # factor's size (4 and 9 share one shape, and so do 72 and 72).
     from multlat import multiplicative, order
 
     for m in moduli:
         ideal_lattice_zn(m)  # the factors, cached
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a product build validated something")
+        raise AssertionError("a product build validated a table or built an order")
+
+    validated = []
+    real_validate = order.validate_lattice
+
+    def validating(product_order, *args, **kwargs):
+        validated.append(product_order)
+        return real_validate(product_order, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         for module in (order, multiplicative, ringbridge):
-            for name in ("build_order", "validate_lattice", "attach_multiplication"):
+            for name in ("build_order", "attach_multiplication"):
                 if hasattr(module, name):
                     patch.setattr(module, name, forbidden)
+            if hasattr(module, "validate_lattice"):
+                patch.setattr(module, "validate_lattice", validating)
         M = ideal_lattice_product.__wrapped__(*moduli)[0]
+    assert len(validated) == 1 and validated[0] is M.order
     assert "_prod_below" in M.derived and "join_irreducibles" in vars(M)
 
     calls = []
@@ -581,7 +632,7 @@ def test_products_validate_only_their_factors(monkeypatch, moduli):
     for name in ("build_order", "validate_lattice", "attach_multiplication"):
         monkeypatch.setattr(ringbridge, name, recording(name, getattr(ringbridge, name)))
     sizes = [len(divisors(m)) for m in moduli]
-    shapes = {ringbridge._shape(divisors(m)) for m in moduli}
+    shapes = {ringbridge._divisors_and_shape(m)[1] for m in moduli}
     monkeypatch.setattr(ringbridge, "ideal_lattice_zn", ideal_lattice_zn.__wrapped__)
     ringbridge._shape_lattice.cache_clear()
     M = ideal_lattice_product.__wrapped__(*moduli)[0]
@@ -670,7 +721,7 @@ def test_moduli_of_one_shape_share_the_tables_not_the_labels(monkeypatch):
     assert M6.order is M10.order
     # Both are views of the unlabelled shape lattice and share its caches;
     # a view of a view shares them too.
-    shared = ringbridge._shape_lattice(ringbridge._shape(divisors(6)))
+    shared = ringbridge._shape_lattice(ringbridge._divisors_and_shape(6)[1])
     assert M6.derived is M10.derived is shared.derived and shared.labels is None
     assert M6._escape_sets is M10._escape_sets is M6.derived["_escape_sets"]
     assert M6.view(M10.labels, "zn:10").derived is M6.derived
@@ -686,8 +737,10 @@ def test_moduli_of_one_shape_share_the_tables_not_the_labels(monkeypatch):
     assert (M6.name, M10.name) == ("zn:6", "zn:10")
     # 12 = 2^2*3 and 45 = 3^2*5 list their divisors in one exponent order;
     # 20 = 2^2*5 lists 4 before 5, so its shape differs from 12's.
-    shape = ringbridge._shape
-    assert shape(divisors(12)) == shape(divisors(45)) == (1, 2, 3, 4, 6, 12)
-    assert shape(divisors(20)) == (1, 2, 4, 3, 6, 12)
+    def shape(n):
+        return ringbridge._divisors_and_shape(n)[1]
+
+    assert shape(12) == shape(45) == (1, 2, 3, 4, 6, 12)
+    assert shape(20) == (1, 2, 4, 3, 6, 12)
     M12, M45, M20 = build(12)[0], build(45)[0], build(20)[0]
     assert M12.table is M45.table and M12.table is not M20.table
