@@ -7,9 +7,11 @@ down-set of the radical of bottom, and the down-set of the Jacobson radical
 yields the r-, n- and J-element classes. Down-sets and Z(L) are M-closed by
 proof and skip the closure scan; ``make_m_closed`` scans member lists from outside.
 
-The predicate is read off the lattice's escape masks, each built once
-(see ``multiplicative``): ``x_element_mask`` decides a whole set with at
-most n ORs of F, and ``x_witness`` reads one pair off E in O(1).
+An element set is an int mask, bit a for element a: an M-closed set holds
+only its mask (``members`` builds the frozenset when asked), and the
+X-elements are read off the escape masks (see ``multiplicative``) as one:
+``x_element_mask`` decides a whole set with at most n ORs of F, and
+``x_witness`` reads one pair off E in O(1).
 
 All functions are pure; negative answers come with the first violating pair
 in element-index order.
@@ -17,12 +19,12 @@ in element-index order.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
-from .order import iter_bits, mask_of
+from .order import iter_bits, lowest, mask_of
 
 
 class NotMClosed(ValueError):
@@ -51,26 +53,22 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class MClosedSet:
-    """A nonempty subset closed under the lattice multiplication.
+    """A nonempty subset closed under the lattice multiplication, held as its
+    element mask (bit a set for member a); equal memberships give equal sets."""
 
-    A caller that holds the members as a mask passes it as ``members_mask``.
-    """
-
-    members: frozenset[int]
+    _mask: int
     name: str = "X"
-    _mask: int = field(init=False, repr=False, compare=False)
-    members_mask: InitVar[int | None] = None
-
-    def __post_init__(self, members_mask):
-        mask = mask_of(self.members) if members_mask is None else members_mask
-        object.__setattr__(self, "_mask", mask)
 
     @property
     def mask(self) -> int:
         return self._mask
 
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(iter_bits(self._mask))
+
     def __contains__(self, a: int) -> bool:
-        return a in self.members
+        return self._mask >> a & 1 == 1
 
 
 def m_closed_witness(M: MultiplicativeLattice, members: Iterable[int]) -> tuple[int, int, int] | None:
@@ -96,15 +94,14 @@ def make_m_closed(M: MultiplicativeLattice, members: Iterable[int], name: str = 
     w = m_closed_witness(M, ms)
     if w is not None:
         raise NotMClosed(*w)
-    return MClosedSet(ms, name)
+    return MClosedSet(mask_of(ms), name)
 
 
 def downset_m_closed(M: MultiplicativeLattice, j: int, name: str | None = None) -> MClosedSet:
     """The down-set of j; M-closed without a scan, since a, b <= j gives a*b <= a <= j."""
     if name is None:
         name = f"downset:{M.label(j)}"
-    down = M.down_mask(j)
-    return MClosedSet(frozenset(iter_bits(down)), name, down)
+    return MClosedSet(M.down_mask(j), name)
 
 
 def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet:
@@ -113,8 +110,7 @@ def zero_divisor_set(M: MultiplicativeLattice, name: str = "zdiv") -> MClosedSet
     x != bottom give (a*b)*x = b*(a*x) = bottom."""
     if M.size == 1:
         raise DegenerateLattice("zero-divisor set needs a proper element")
-    zdiv = M._zdiv_mask
-    return MClosedSet(frozenset(iter_bits(zdiv)), name, zdiv)
+    return MClosedSet(M._zdiv_mask, name)
 
 
 def nil_downset(M: MultiplicativeLattice, name: str = "nil") -> MClosedSet:
@@ -140,15 +136,15 @@ def canonical_sets(M: MultiplicativeLattice) -> dict[str, MClosedSet]:
 
 def distinct_sets(sets: Iterable[MClosedSet]) -> list[MClosedSet]:
     """One set per distinct membership; the first one given keeps its name."""
-    seen: dict[frozenset[int], MClosedSet] = {}
+    seen: dict[int, MClosedSet] = {}
     for X in sets:
-        seen.setdefault(X.members, X)
+        seen.setdefault(X.mask, X)
     return list(seen.values())
 
 
 def principal_generator(M: MultiplicativeLattice, X: MClosedSet) -> int | None:
     """j with X = down-set of j, if X is such a down-set."""
-    j = M.big_join(X.members)
+    j = M.big_join(iter_bits(X.mask))
     if M.down_mask(j) == X.mask:
         return j
     return None
@@ -198,22 +194,23 @@ def is_j_element(M: MultiplicativeLattice, i: int) -> bool:
     return is_x_element(M, jacobson_downset(M), i)
 
 
-def join_escape(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[int, int] | None:
-    """First pair of X-elements ``xels``, in index order, whose join is not one (top never is)."""
-    for i1, i2 in combinations(sorted(xels), 2):
-        if M.join(i1, i2) not in xels:
+def join_escape(M: MultiplicativeLattice, xels: int) -> tuple[int, int] | None:
+    """First pair of X-elements ``xels`` (a mask), in index order, whose join is not one (top never is)."""
+    join = M.join_table
+    for i1, i2 in combinations(iter_bits(xels), 2):
+        if not xels >> join[i1][i2] & 1:
             return i1, i2
     return None
 
 
-def prime_meet_facts(M: MultiplicativeLattice, xels: frozenset[int]) -> tuple[int, bool, bool, bool]:
+def prime_meet_facts(M: MultiplicativeLattice, xels: int) -> tuple[int, bool, bool, bool]:
     """The meet j of all primes (radical(bottom)), and three facts that must agree about it.
 
-    ``xels`` are the X-elements of the down-set of j. Returns (j, X-elements
-    exist for that down-set, j is prime, the minimal prime is unique).
+    ``xels`` is the mask of the X-elements of the down-set of j. Returns (j,
+    X-elements exist for that down-set, j is prime, the minimal prime is unique).
     """
     j = M.radical(M.bottom)
-    return j, bool(xels), M.is_prime(j), len(M.min_primes()) == 1
+    return j, bool(xels), M.is_prime(j), M.minimal_members(M._prime_mask).bit_count() == 1
 
 
 # -- X-multiplicatively closed sets -------------------------------------------
@@ -231,7 +228,7 @@ def x_mult_closed_witness(
     outside = M.full_mask & ~X.mask
     missing = outside & ~amask
     if missing:
-        return "missing", (missing & -missing).bit_length() - 1
+        return "missing", lowest(missing)
     for a1 in iter_bits(outside):
         row = M.table[a1]
         for a2 in iter_bits(amask):
@@ -247,18 +244,18 @@ def is_x_mult_closed(M: MultiplicativeLattice, X: MClosedSet, members: Iterable[
 
 @dataclass(frozen=True)
 class XMultClosedSet:
-    """A validated X-multiplicatively closed subset."""
+    """A validated X-multiplicatively closed subset, held as its element mask."""
 
     xset: MClosedSet
-    members: frozenset[int]
-    _mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_mask", mask_of(self.members))
+    _mask: int
 
     @property
     def mask(self) -> int:
         return self._mask
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(iter_bits(self._mask))
 
 
 def make_x_mult_closed(
@@ -270,7 +267,7 @@ def make_x_mult_closed(
     w = x_mult_closed_witness(M, X, ms)
     if w is not None:
         raise NotXMultClosed(w)
-    return XMultClosedSet(X, ms)
+    return XMultClosedSet(X, mask_of(ms))
 
 
 def maximal_x_avoiding(
@@ -285,7 +282,7 @@ def maximal_x_avoiding(
     """
     if principal_generator(M, X) is None:
         raise ValueError("X must be a principal down-set")
-    if A.xset.members != X.members:
+    if A.xset.mask != X.mask:
         raise ValueError("A was validated against a different set than X")
     amask = A.mask
     down = M.order.down

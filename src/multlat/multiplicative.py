@@ -71,7 +71,7 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .order import FiniteLattice, PartialOrder, iter_bits, mask_of, validate_lattice
+from .order import FiniteLattice, PartialOrder, iter_bits, lowest, mask_of, validate_lattice
 
 
 class AxiomViolation(ValueError):
@@ -275,10 +275,9 @@ class MultiplicativeLattice(FiniteLattice):
         movers = self._residual_movers[i] & ~skip
         if not movers:
             return None
-        a = (movers & -movers).bit_length() - 1
+        a = lowest(movers)
         down = self.order.down
-        bad = down[self._prod_below[a][i]] & ~down[i]
-        return a, (bad & -bad).bit_length() - 1
+        return a, lowest(down[self._prod_below[a][i]] & ~down[i])
 
     # -- nilpotents, zero divisors, radicals --------------------------------
 
@@ -358,7 +357,7 @@ class MultiplicativeLattice(FiniteLattice):
                 continue
             bad = down[below[a][i]] & ~keep
             if bad:
-                return a, (bad & -bad).bit_length() - 1
+                return a, lowest(bad)
         return None
 
     def prime_witness(self, p: int) -> tuple[int, int] | None:
@@ -403,9 +402,7 @@ class MultiplicativeLattice(FiniteLattice):
     def maximal_witness(self, m: int) -> int | None:
         """An element strictly between m and top, if one exists."""
         strictly_between = self.order.up[m] & ~(1 << m) & ~(1 << self.top)
-        if strictly_between:
-            return (strictly_between & -strictly_between).bit_length() - 1
-        return None
+        return lowest(strictly_between) if strictly_between else None
 
     def is_maximal(self, m: int) -> bool:
         return m != self.top and self.maximal_witness(m) is None
@@ -414,10 +411,8 @@ class MultiplicativeLattice(FiniteLattice):
     def _max_mask(self) -> int:
         if self.size == 1:
             raise DegenerateLattice("one-element lattice has no maximal elements")
-        # m is maximal exactly when up(m) is {m, top}; top itself, whose up-set
-        # is {top}, fails the test.
-        top = 1 << self.top
-        out = mask_of(m for m, above in enumerate(self.order.up) if above ^ 1 << m == top)
+        # The maximal elements are the maximal proper elements.
+        out = self.maximal_members(self.full_mask & ~(1 << self.top))
         # Maximal elements of a finite multiplicative lattice are prime.
         assert out & ~self._prime_mask == 0, "maximal element failed primeness"
         return out
@@ -433,14 +428,10 @@ class MultiplicativeLattice(FiniteLattice):
         return self.big_meet(iter_bits(self._max_mask))
 
     def min_primes(self) -> frozenset[int]:
-        primes = self._prime_mask
-        down = self.order.down
-        return frozenset(
-            p for p in iter_bits(primes) if down[p] & primes == 1 << p
-        )
+        return frozenset(iter_bits(self.minimal_members(self._prime_mask)))
 
     def is_local(self) -> bool:
-        return len(self.max_elements()) == 1
+        return self._max_mask.bit_count() == 1
 
     def is_domain(self) -> bool:
         if self.size == 1:
@@ -657,16 +648,18 @@ def trivial_mult(lattice: FiniteLattice, name: str = "L") -> MultiplicativeLatti
     """x*y = bottom for proper x, y and top the identity.
 
     Needs top join-irreducible (join of proper elements stays proper),
-    otherwise distributivity breaks; raises TopJoinReducible then.
+    otherwise distributivity breaks; raises TopJoinReducible then, naming
+    the first pair, which is sought only if top is outside J(L).
     """
     n = lattice.size
     top, bottom = lattice.top, lattice.bottom
-    for x in range(n):
-        if x == top:
-            continue
-        for y in range(x, n):
-            if y != top and lattice.join(x, y) == top:
-                raise TopJoinReducible(x, y)
+    if top not in lattice.join_irreducibles:
+        for x in range(n):
+            if x == top:
+                continue
+            for y in range(x, n):
+                if y != top and lattice.join(x, y) == top:
+                    raise TopJoinReducible(x, y)
     rows = [
         [x if y == top else (y if x == top else bottom) for y in range(n)]
         for x in range(n)

@@ -46,6 +46,11 @@ def mask_of(items: Iterable[int]) -> int:
     return m
 
 
+def lowest(mask: int) -> int:
+    """The least element of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -179,6 +184,14 @@ class FiniteLattice:
     def down_set(self, a: int) -> frozenset[int]:
         return frozenset(iter_bits(self.order.down[a]))
 
+    def maximal_members(self, mask: int) -> int:
+        """The members of ``mask`` below no other member, as a mask: one mask test each."""
+        return mask_of(a for a in iter_bits(mask) if self.order.up[a] & mask == 1 << a)
+
+    def minimal_members(self, mask: int) -> int:
+        """The members of ``mask`` above no other member, as a mask: one mask test each."""
+        return mask_of(a for a in iter_bits(mask) if self.order.down[a] & mask == 1 << a)
+
     def meet(self, x: int, y: int) -> int:
         return self.meet_table[x][y]
 
@@ -280,15 +293,11 @@ def _cover_splits(
     """
     up, down = order.up, order.down
     rank = sorted(range(order.size), key=down.__getitem__)
-    irreducibles, lower = _split(rank, bottom, down, up, by_down, _lowest)
+    irreducibles, lower = _split(rank, bottom, down, up, by_down, lowest)
     rank.reverse()
     meet_irreducibles, upper = _split(rank, top, up, down, by_up, _highest)
     irreducibles.sort()
     return tuple(irreducibles), lower, meet_irreducibles, upper
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _highest(mask: int) -> int:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 from .classify import MClosedSet, canonical_sets, distinct_sets, x_witness
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
+from .order import iter_bits
 
 
 @dataclass(frozen=True)
@@ -71,28 +72,30 @@ def classify_lattice(
     if M.size == 1:
         raise DegenerateLattice("classification needs a proper element")
 
-    def labels_of(items) -> tuple[str, ...]:
-        return tuple(M.label(i) for i in sorted(items))
+    def labels_of(mask: int) -> tuple[str, ...]:
+        return tuple(map(M.label, iter_bits(mask)))
 
     canonical = _canonical_flags(M)
     summary = LatticeSummary(
-        maximal=labels_of(M.max_elements()),
+        maximal=labels_of(M._max_mask),
         jacobson=M.label(M.jacobson()),
-        min_primes=labels_of(M.min_primes()),
-        nilpotents=labels_of(M.nilpotents()),
-        zero_divisors=labels_of(M.zero_divisors()),
+        min_primes=labels_of(M.minimal_members(M._prime_mask)),
+        nilpotents=labels_of(M._nil_mask),
+        zero_divisors=labels_of(M._zdiv_mask),
         radical_of_bottom=M.label(M.radical(M.bottom)),
         local=M.is_local(),
         domain=M.is_domain(),
         reduced=M.is_reduced(),
     )
-    # x_witness reads only the members, so each distinct set is scanned once
+    # x_witness reads only the mask, so each distinct set is scanned once
     # (on a ring lattice nil = jrad); top is improper and never scanned.
     proper = M.proper_elements()
     witnesses = {
-        X.members: {i: x_witness(M, X, i) for i in proper}
+        X.mask: {i: x_witness(M, X, i) for i in proper}
         for X in distinct_sets([*canonical.values(), *xsets])
     }
+    columns = [(flag_name, witnesses[X.mask]) for flag_name, X in canonical.items()]
+    columns += [(f"x:{X.name}", witnesses[X.mask]) for X in xsets]
     rows = []
     for i in range(M.size):
         flags: dict[str, FlagResult] = {}
@@ -101,16 +104,14 @@ def classify_lattice(
         flags["primary"] = _flag(M, improper, M.primary_witness(i))
         mw = M.maximal_witness(i)
         flags["maximal"] = _flag(M, improper, None if mw is None else (mw,))
-        for flag_name, X in canonical.items():
-            flags[flag_name] = _flag(M, improper, witnesses[X.members].get(i))
-        for X in xsets:
-            flags[f"x:{X.name}"] = _flag(M, improper, witnesses[X.members].get(i))
+        for flag_name, found in columns:
+            flags[flag_name] = _flag(M, improper, found.get(i))
         rows.append(ElementReport(M.label(i), flags))
     return ClassificationReport(
         name=M.name,
         elements=M.labels,
         summary=summary,
-        xsets={X.name: labels_of(X.members) for X in xsets},
+        xsets={X.name: labels_of(X.mask) for X in xsets},
         rows=tuple(rows),
     )
 

@@ -78,11 +78,6 @@ class CrossValidationMismatch(RuntimeError):
         )
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """Ascending divisors of n, generated from its factorization."""
-    return _divisors_and_shape(n)[0]
-
-
 def _divisors_and_shape(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """n's ascending divisors, and its shape: each of them with the i-th prime
     of n renamed to the i-th prime, in the same order.

@@ -15,9 +15,10 @@ from .classify import (
     distinct_sets,
     join_escape,
     prime_meet_facts,
-    x_elements,
+    x_element_mask,
 )
 from .multiplicative import MultiplicativeLattice
+from .order import lowest
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -30,7 +31,7 @@ class SearchHit:
 
 def _find_join_escape(M: MultiplicativeLattice) -> SearchHit | None:
     for X in distinct_sets(canonical_sets(M).values()):
-        pair = join_escape(M, x_elements(M, X))
+        pair = join_escape(M, x_element_mask(M, X))
         if pair is not None:
             i1, i2 = pair
             return SearchHit(
@@ -44,7 +45,7 @@ def _find_join_escape(M: MultiplicativeLattice) -> SearchHit | None:
 def _find_existence_equivalence(M: MultiplicativeLattice) -> SearchHit | None:
     # The nil down-set is the prime-meet down-set: radical(bottom) is the meet
     # of the primes, which ``_radicals`` cross-asserts.
-    j, exists, j_prime, unique_min = prime_meet_facts(M, x_elements(M, CANONICAL_SETS["n"](M)))
+    j, exists, j_prime, unique_min = prime_meet_facts(M, x_element_mask(M, CANONICAL_SETS["n"](M)))
     if not exists == j_prime == unique_min:
         raise RuntimeError(
             f"{M.name}: existence/primeness/unique-minimal-prime equivalence broken "
@@ -63,10 +64,9 @@ def _find_n_strictly_inside(
     M: MultiplicativeLattice, letter: str, noun: str
 ) -> SearchHit | None:
     """First element of the ``letter`` class (r or j) that is not an n-element."""
-    outer = x_elements(M, CANONICAL_SETS[letter](M))
-    extra = sorted(outer - x_elements(M, CANONICAL_SETS["n"](M)))
-    if extra:
-        return SearchHit(M.name, f"{M.label(extra[0])} is {noun} but not an n-element")
+    outer = x_element_mask(M, CANONICAL_SETS[letter](M))
+    if extra := outer & ~x_element_mask(M, CANONICAL_SETS["n"](M)):
+        return SearchHit(M.name, f"{M.label(lowest(extra))} is {noun} but not an n-element")
     return None
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from math import gcd
+from math import gcd, prod
 
 from multlat import (
     AxiomViolation,
@@ -27,7 +27,6 @@ from multlat import (
 )
 from multlat.classify import canonical_sets, downset_m_closed, x_element_mask, x_mult_closed_witness
 from multlat.order import build_order, iter_bits, validate_lattice
-from multlat.ringbridge import divisors
 
 LATTICE_DIR = Path(__file__).resolve().parent.parent / "lattices"
 PERFBENCH_DIR = LATTICE_DIR.parent / "perfbench"
@@ -183,14 +182,39 @@ def count_x_decisions(monkeypatch, deciding_module):
     return counts
 
 
+def exponent_vector_oracle(n):
+    """(divisors, shape) of n from its exponent vectors, sorted by divisor.
+
+    With n = p_1^k_1 * ... * p_r^k_r, every vector (a_1, ..., a_r) with
+    a_i <= k_i gives the divisor p_1^a_1 * ... * p_r^a_r and its renamed
+    twin P_1^a_1 * ... * P_r^a_r, P_i the i-th prime.
+    """
+    exponents, rest, p = {}, n, 2
+    while p * p <= rest:
+        while rest % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            rest //= p
+        p += 1
+    if rest > 1:
+        exponents[rest] = 1
+    firsts = [q for q in range(2, 60) if all(q % r for r in range(2, q))][: len(exponents)]
+    pairs = sorted(
+        (prod(map(pow, exponents, vector)), prod(map(pow, firsts, vector)))
+        for vector in itertools.product(*(range(k + 1) for k in exponents.values()))
+    )
+    return tuple(d for d, _ in pairs), tuple(t for _, t in pairs)
+
+
 def zn_lattice_oracle(n):
     """Id(Z_n) built and validated on n's own divisors, with no shape sharing.
 
-    The per-modulus reference for ``ideal_lattice_zn``: the covers (d*p, d)
-    over n's primes, then ``build_order``, ``validate_lattice`` and
-    ``attach_multiplication`` on n's gcd table.
+    The per-modulus reference for ``ideal_lattice_zn``: n's divisors from
+    ``exponent_vector_oracle``, which shares no code with the library's
+    factorization, the covers (d*p, d) over n's primes, then
+    ``build_order``, ``validate_lattice`` and ``attach_multiplication`` on
+    n's gcd table.
     """
-    divs = divisors(n)
+    divs = exponent_vector_oracle(n)[0]
     index = {d: i for i, d in enumerate(divs)}
     primes = []
     for d in divs[1:]:

@@ -1,9 +1,12 @@
 """M-closed sets, X-elements and their characterizations."""
 
+from dataclasses import fields
+
 import pytest
 
 from multlat import (
     DegenerateLattice,
+    MClosedSet,
     NotMClosed,
     NotXMultClosed,
     PreconditionViolated,
@@ -34,7 +37,7 @@ from multlat import (
     x_witness,
     zero_divisor_set,
 )
-from multlat.classify import canonical_sets, m_closed_witness
+from multlat.classify import XMultClosedSet, canonical_sets, m_closed_witness
 from multlat.order import mask_of
 from conftest import (
     complement_characterization,
@@ -63,6 +66,31 @@ def test_sets_built_from_a_mask_keep_it():
         for j in (M.bottom, M.top, M.size // 2):
             X = downset_m_closed(M, j)
             assert X.mask == mask_of(X.members) == M.down_mask(j), (M.name, j)
+
+
+def test_sets_of_equal_membership_are_equal_whatever_built_them():
+    # An M-closed set holds only its mask: sets with equal members and name
+    # are equal and hash alike, whether a member list, a down-set or Z(L)
+    # built them; ``in`` and ``members`` read the mask; the name still counts.
+    assert [f.name for f in fields(MClosedSet)] == ["_mask", "name"]
+    assert [f.name for f in fields(XMultClosedSet)] == ["xset", "_mask"]
+    for M in x_set_instances():
+        built = [zero_divisor_set(M, "S"), *(downset_m_closed(M, j, "S") for j in range(M.size))]
+        for X in built:
+            Y = make_m_closed(M, sorted(X.members, reverse=True), "S")
+            assert X == Y and hash(X) == hash(Y) and len({X, Y}) == 1, M.name
+            assert [a in X for a in range(M.size)] == [a in X.members for a in range(M.size)], M.name
+            assert X != make_m_closed(M, X.members, "T"), M.name
+        assert len(set(built)) == len({X.mask for X in built}), M.name
+
+
+def test_x_mult_closed_sets_keep_their_members(kite, z12):
+    proper = make_m_closed(kite, set(range(5)), "proper")
+    top_c_d = {kite.top, kite.index_of("c"), kite.index_of("d")}
+    for M, X, members in ((kite, proper, top_c_d), (z12, nil_downset(z12), set(range(z12.size)))):
+        A = make_x_mult_closed(M, X, members)
+        assert A.members == members and A.mask == mask_of(members)
+        assert A == make_x_mult_closed(M, X, sorted(members)) and hash(A) == hash(XMultClosedSet(X, A.mask))
 
 
 def test_prime_meet_downset_is_the_nil_downset():

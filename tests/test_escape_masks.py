@@ -6,8 +6,9 @@ witnesses and L14, and R (``_residual_values``) gives L7. Each is compared
 here with a scan that uses none of the shortcuts, and the sets F decides
 with the residual-table forms they replaced. Deciding the r-, n- and
 J-elements reads F only, so ``search`` and ``cross_validate`` never build
-the residual table. L5 and L13, which test whole rows at once, are compared
-with their literal pair scans, witnesses included.
+the residual table. L5 and L13, which test whole rows at once, and
+``join_escape`` are compared with their literal pair scans, witnesses
+included.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from multlat import (
     x_witness,
 )
 from multlat import ringbridge
-from multlat.classify import distinct_sets
+from multlat.classify import distinct_sets, join_escape
 from multlat.lemmas import CheckResult, _check_l5, _check_l13, _lbl
 from multlat.order import mask_of
 from multlat.search import PROPERTIES
@@ -222,6 +223,28 @@ def literal_l13(M, X, xels):
     return CheckResult("L13", X.name, True)
 
 
+def literal_join_escape(M, xels):
+    for i1, i2 in itertools.combinations(sorted(xels), 2):
+        if M.join(i1, i2) not in xels:
+            return i1, i2
+    return None
+
+
+def test_join_escape_matches_the_literal_pair_scan(corpus):
+    # L6 and the join-of-x-not-x search read join_escape on the X-element
+    # mask; the first pair in index order, (i1, i2) with i1 < i2, on the true
+    # X-elements and on the sets near or far from them.
+    rng = random.Random(6)
+    found = 0
+    for M in corpus:
+        for X in distinct_sets(canonical_sets(M).values()):
+            for xels in candidate_x_elements(M, X, rng):
+                want = literal_join_escape(M, xels)
+                assert join_escape(M, mask_of(xels)) == want, (M.name, X.name, sorted(xels))
+                found += want is not None
+    assert found > 100
+
+
 def candidate_x_elements(M, X, rng):
     """The true X-elements, and three sets near or far from them, to reach the witnesses."""
     xels = x_elements(M, X)
@@ -240,7 +263,7 @@ def test_l5_and_l13_match_the_literal_pair_scans(corpus):
         for X in distinct_sets(canonical_sets(M).values()):
             for xels in candidate_x_elements(M, X, rng):
                 for check, literal in ((_check_l5, literal_l5), (_check_l13, literal_l13)):
-                    got = check(M, X, xels)
+                    got = check(M, X, mask_of(xels))
                     assert got == literal(M, X, xels), (M.name, X.name, sorted(xels))
                     if not got.passed:
                         failed.add((got.check, "collapse" in got.witness))

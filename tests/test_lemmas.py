@@ -20,8 +20,9 @@ from multlat import (
     trivial_mult,
     x_elements,
 )
-from multlat.classify import distinct_sets
-from multlat.lemmas import CheckResult, _check_l4, _lbl
+from multlat.classify import distinct_sets, x_element_mask
+from multlat.lemmas import CheckResult, _check_l4, _check_l8, _check_l9, _lbl
+from multlat.order import iter_bits, mask_of
 from conftest import (
     distinct_instances,
     div_index,
@@ -252,17 +253,14 @@ def test_l4_matches_the_down_set_loop():
     assert local > 20
 
 
-def test_l4_failure_matches_the_down_set_loop(monkeypatch):
+def test_l4_failure_matches_the_down_set_loop():
     # zn:8 is local with maximal (2); claiming every proper element is maximal
     # makes both routes report the down-set of (2) with the same witness.
-    from multlat import MultiplicativeLattice
-
     M = ideal_lattice_zn(8)[0]
-    every = frozenset(M.proper_elements())
-    monkeypatch.setattr(MultiplicativeLattice, "max_elements", lambda self: every)
-    got = _check_l4(M)
+    twin = corrupted_twin(M, "_max_mask", lambda mask: M.full_mask & ~(1 << M.top))
+    got = _check_l4(twin)
     assert not got.passed and "down-set of (2)" in got.witness
-    assert got == l4_by_down_sets(M)
+    assert got == l4_by_down_sets(twin)
 
 
 def corrupted_twin(M, key, flip):
@@ -286,6 +284,93 @@ def test_l8_reports_a_mask_the_witness_route_contradicts():
         f"{M.label(i)} is a maximal X-element but not prime; "
         "the mask says not prime, but the witness route finds no pair (says prime)"
     )
+
+
+def pairwise_maximal(M, mask):
+    """The members of ``mask`` with no other member above them, by pairwise ``leq``."""
+    members = list(iter_bits(mask))
+    return mask_of(i for i in members if not any(j != i and M.leq(i, j) for j in members))
+
+
+def suite_sets(M):
+    """The canonical sets and every principal down-set of M."""
+    return [*canonical_sets(M).values(), *(downset_m_closed(M, j) for j in range(M.size))]
+
+
+def test_maximal_member_kernel_matches_the_pairwise_definition():
+    # L8 takes the maximal X-elements from the mask kernel, and _max_mask the
+    # maximal proper elements; both against the O(|X|^2) pairwise scan.
+    for M in distinct_instances():
+        assert M._max_mask == pairwise_maximal(M, M.full_mask & ~(1 << M.top)), M.name
+        for X in suite_sets(M):
+            xels = x_element_mask(M, X)
+            assert M.maximal_members(xels) == pairwise_maximal(M, xels), (M.name, X.name)
+        primes = M._prime_mask
+        minimal = mask_of(p for p in iter_bits(primes)
+                          if not any(q != p and M.leq(q, p) for q in iter_bits(primes)))
+        assert M.minimal_members(primes) == minimal, M.name
+
+
+def test_l8_names_the_lowest_maximal_x_element_the_prime_mask_drops():
+    # Every maximal X-element made non-prime in _prime_mask alone: L8 fails
+    # at the lowest of them.
+    several = 0
+    for M in distinct_instances():
+        for X in suite_sets(M):
+            xels = x_element_mask(M, X)
+            maximal = pairwise_maximal(M, xels)
+            if not maximal:
+                continue
+            several += maximal.bit_count() > 1
+            got = _check_l8(corrupted_twin(M, "_prime_mask", lambda mask: mask & ~maximal), X, xels)
+            first = min(iter_bits(maximal))
+            assert not got.passed and got.witness.startswith(
+                f"{M.label(first)} is a maximal X-element but not prime; "), (M.name, X.name)
+    assert several > 20
+
+
+def test_l9_names_the_lowest_element_a_corrupted_mask_gets_wrong():
+    # L9 on each proper principal down-set down(j). With every element above
+    # j called prime, it fails exactly when j is not prime, at j. With every
+    # proper element called maximal, it fails at the lowest i with
+    # (i an X-element) != (i == j).
+    failed = 0
+    for M in distinct_instances():
+        proper = M.full_mask & ~(1 << M.top)
+        every_maximal = corrupted_twin(M, "_max_mask", lambda mask: proper)
+        for j in M.proper_elements():
+            X = downset_m_closed(M, j)
+            xels = x_element_mask(M, X)
+            got = _check_l9(corrupted_twin(M, "_prime_mask", lambda mask: mask | M.order.up[j]), X, j, xels)
+            assert got.passed == M.is_prime(j), (M.name, j)
+            if not got.passed:
+                assert got.witness.startswith(f"prime {M.label(j)} above generator"), (M.name, j)
+            got = _check_l9(every_maximal, X, j, xels)
+            wrong = [i for i in sorted(iter_bits(proper)) if bool(xels >> i & 1) != (i == j)]
+            assert got.passed == (not wrong), (M.name, j)
+            if wrong:
+                failed += 1
+                assert got.witness.startswith(f"maximal {M.label(wrong[0])} vs generator"), (M.name, j)
+    assert failed > 100
+
+
+def test_l8_and_l9_name_the_lowest_index_where_a_frozenset_iterates_otherwise():
+    # prod:72,72's maxima are elements 1, 2, 12 and 24, and a frozenset of
+    # them iterates 24 first. With the X-elements set to the maxima, L8
+    # (the maxima dropped from _prime_mask too) and L9 (X the down-set of
+    # element 1) must still name the lowest index that fails.
+    M = ideal_lattice_product(72, 72)[0]
+    maxima = M._max_mask
+    assert sorted(iter_bits(maxima)) == [1, 2, 12, 24] and next(iter(frozenset(iter_bits(maxima)))) == 24
+    for X, dropped, check, first in ((canonical_sets(M)["j"], maxima, "L8", 1),
+                                     (downset_m_closed(M, 1), 0, "L9", 2)):
+        lemma_suite(M, (X,))
+        derived = {**M.derived, ("x_element_mask", X.mask): maxima,
+                   "_prime_mask": M._prime_mask & ~dropped}
+        twin = dataclasses.replace(M, derived=derived)
+        (got,) = [c for c in lemma_suite(twin, (X,)).find(check) if c.scope == X.name]
+        named = (f"{M.label(first)} is a maximal", f"maximal {M.label(first)} vs")
+        assert not got.passed and got.witness.startswith(named), got
 
 
 def test_l3_reports_a_mask_the_witness_route_contradicts():

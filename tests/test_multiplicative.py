@@ -89,6 +89,30 @@ def test_trivial_mult_needs_join_irreducible_top():
     assert {x, y} == {1, 2}
 
 
+def first_proper_pair_joining_to_top(L):
+    """The first (x, y), x <= y as indices, of proper elements with join top: a literal scan."""
+    proper = [a for a in range(L.size) if a != L.top]
+    return next(((x, y) for x in proper for y in proper if x <= y and L.join(x, y) == L.top), None)
+
+
+def test_trivial_mult_scans_for_its_pair_exactly_when_top_is_outside_j():
+    # trivial_mult looks for a TopJoinReducible pair only when top is not in
+    # J(L); on every lattice here that is exactly when a pair exists, and the
+    # witness is the literal scan's first pair.
+    outside = 0
+    for M in x_set_instances():
+        pair = first_proper_pair_joining_to_top(M)
+        assert (pair is None) == (M.top in M.join_irreducibles), M.name
+        if pair is None:
+            assert trivial_mult(M).table[M.top] == tuple(range(M.size)), M.name
+        else:
+            outside += 1
+            with pytest.raises(TopJoinReducible) as err:
+                trivial_mult(M)
+            assert err.value.witness == pair, M.name
+    assert outside > 50
+
+
 def test_trivial_table_on_boolean_square_fails_distributivity():
     L = boolean_square()
     top, bottom = L.top, L.bottom

@@ -17,7 +17,7 @@ from multlat import (
 )
 from multlat import corpus, order, ringbridge
 from multlat.corpus import KITE_COVERS
-from multlat.order import PartialOrder, iter_bits, mask_of
+from multlat.order import PartialOrder, iter_bits, lowest, mask_of
 from conftest import assert_cover_splits, pair_scan_tables
 
 
@@ -208,6 +208,8 @@ def test_labels_validation():
 def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert list(iter_bits(0b100101)) == [0, 2, 5]
+    for mask in (*range(1, 1 << 9), 1 << 1343, (1 << 1343) | (1 << 700), (1 << 2304) - 1):
+        assert lowest(mask) == next(iter_bits(mask)) == min(iter_bits(mask)), mask
 
 
 @given(

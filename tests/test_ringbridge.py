@@ -9,8 +9,8 @@ import dataclasses
 import functools
 from array import array
 from collections import Counter
-from itertools import compress, product
-from math import gcd, prod
+from itertools import compress
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -34,14 +34,13 @@ from multlat.ringbridge import (
     ProductRingModel,
     ZnIdealModel,
     cross_validate,
-    divisors,
     ring_jacobson,
     ring_nilpotents,
     ring_zero_divisors,
 )
 from multlat.corpus import parse_corpus_spec
 from multlat.search import search_corpus
-from conftest import assert_same_derived_data, is_prime_power, zn_lattice_oracle
+from conftest import assert_same_derived_data, exponent_vector_oracle, is_prime_power, zn_lattice_oracle
 
 
 def subset_ideal(n, d):
@@ -91,41 +90,18 @@ def test_prime_modulus_gives_two_chain():
 
 def test_divisors_match_brute_force():
     for n in range(1, 3001):
-        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0), n
-    assert divisors(100000007) == (1, 100000007)
+        assert ringbridge._divisors_and_shape(n)[0] == tuple(d for d in range(1, n + 1) if n % d == 0), n
+    assert ringbridge._divisors_and_shape(100000007)[0] == (1, 100000007)
 
 
 def test_divisors_of_a_smooth_huge_modulus():
     # 2^18 * 5^18: 19 * 19 divisors, from the factorization rather than a
     # scan of every d up to 10**9.
-    divs = divisors(10**18)
+    divs = ringbridge._divisors_and_shape(10**18)[0]
     assert len(divs) == 361
     assert all(10**18 % d == 0 for d in divs)
     assert all(a < b for a, b in zip(divs, divs[1:]))
     assert (divs[0], divs[-1]) == (1, 10**18)
-
-
-def exponent_vector_oracle(n):
-    """(divisors, shape) of n from its exponent vectors, sorted by divisor.
-
-    With n = p_1^k_1 * ... * p_r^k_r, every vector (a_1, ..., a_r) with
-    a_i <= k_i gives the divisor p_1^a_1 * ... * p_r^a_r and its renamed
-    twin P_1^a_1 * ... * P_r^a_r, P_i the i-th prime.
-    """
-    exponents, rest, p = {}, n, 2
-    while p * p <= rest:
-        while rest % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
-            rest //= p
-        p += 1
-    if rest > 1:
-        exponents[rest] = 1
-    firsts = [q for q in range(2, 60) if all(q % r for r in range(2, q))][: len(exponents)]
-    pairs = sorted(
-        (prod(map(pow, exponents, vector)), prod(map(pow, firsts, vector)))
-        for vector in product(*(range(k + 1) for k in exponents.values()))
-    )
-    return tuple(d for d, _ in pairs), tuple(t for _, t in pairs)
 
 
 def test_divisors_and_shape_match_the_exponent_vectors_up_to_5000():
@@ -140,9 +116,7 @@ def test_divisors_and_shape_match_the_exponent_vectors_up_to_5000():
 def test_divisors_and_shape_of_large_moduli_match_the_exponent_vectors(n):
     # Seven primes, two highly composite moduli, deep exponents on one and
     # on several primes, and two large primes that trial division must reach.
-    divs, shape = ringbridge._divisors_and_shape(n)
-    assert (divs, shape) == exponent_vector_oracle(n), n
-    assert divisors(n) == divs
+    assert ringbridge._divisors_and_shape(n) == exponent_vector_oracle(n), n
 
 
 def test_every_ring_row_is_an_r_ideal_and_n_agrees_with_j():
@@ -167,7 +141,7 @@ def test_modulus_must_be_at_least_two():
 
 def test_product_lattice_is_componentwise():
     M, model = ideal_lattice_product(4, 9)
-    assert M.size == len(divisors(4)) * len(divisors(9)) == 9
+    assert M.size == len(exponent_vector_oracle(4)[0]) * len(exponent_vector_oracle(9)[0]) == 9
     i = model.pairs.index((2, 3))
     j = model.pairs.index((4, 9))
     assert M.leq(j, i)  # (4)x(0) inside (2)x(3)
@@ -224,7 +198,7 @@ def test_ring_side_examples(z12):
 def test_cross_validation_examples():
     for n in (12, 15, 4):
         report = cross_validate_zn(n)
-        assert len(report.rows) == len(divisors(n)) - 1
+        assert len(report.rows) == len(ringbridge._divisors_and_shape(n)[0]) - 1
     report = cross_validate_product(4, 9)
     assert len(report.rows) == 8
     assert "agree" in report.render()
@@ -520,12 +494,12 @@ def all_pairs_construction(moduli):
     """
     if len(moduli) == 1:
         (n,) = moduli
-        divs = divisors(n)
+        divs = exponent_vector_oracle(n)[0]
         elems = [(d,) for d in divs]
         labels = ZnIdealModel(n, divs).labels()
     else:
         m, n = moduli
-        elems = [(d1, d2) for d1 in divisors(m) for d2 in divisors(n)]
+        elems = [(d1, d2) for d1 in exponent_vector_oracle(m)[0] for d2 in exponent_vector_oracle(n)[0]]
         labels = ProductRingModel(m, n, tuple(elems)).labels()
     k = len(elems)
     leq_pairs = [
@@ -631,7 +605,7 @@ def test_products_validate_only_their_factors(monkeypatch, moduli):
 
     for name in ("build_order", "validate_lattice", "attach_multiplication"):
         monkeypatch.setattr(ringbridge, name, recording(name, getattr(ringbridge, name)))
-    sizes = [len(divisors(m)) for m in moduli]
+    sizes = [len(ringbridge._divisors_and_shape(m)[0]) for m in moduli]
     shapes = {ringbridge._divisors_and_shape(m)[1] for m in moduli}
     monkeypatch.setattr(ringbridge, "ideal_lattice_zn", ideal_lattice_zn.__wrapped__)
     ringbridge._shape_lattice.cache_clear()
