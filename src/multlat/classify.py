@@ -5,7 +5,8 @@ lattice, a proper element i is an *X-element* when every product a*b <= i
 with a outside X forces b <= i. Specializing X to the zero-divisor set, the
 down-set of the radical of bottom, and the down-set of the Jacobson radical
 yields the r-, n- and J-element classes. Down-sets and Z(L) are M-closed by
-proof and skip the closure scan; ``make_m_closed`` scans member lists from outside.
+proof and skip the closure scan; ``make_m_closed`` scans member lists from
+outside with ``order.first_pair_outside``, the pair kernel ``join_escape`` shares.
 
 An element set is an int mask, bit a for element a: an M-closed set holds
 only its mask (``members`` builds the frozenset when asked), and the
@@ -20,11 +21,10 @@ in element-index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
-from .order import iter_bits, lowest, mask_of
+from .order import first_pair_outside, iter_bits, lowest, mask_of
 
 
 class NotMClosed(ValueError):
@@ -72,17 +72,9 @@ class MClosedSet:
 
 
 def m_closed_witness(M: MultiplicativeLattice, members: Iterable[int]) -> tuple[int, int, int] | None:
-    """First (a, b, a*b) with a, b inside but the product outside, else None."""
-    ms = sorted(set(members))
-    inside = mask_of(ms)
-    for a in ms:
-        row = M.table[a]
-        for b in ms:
-            if b < a:
-                continue
-            if not inside >> row[b] & 1:
-                return a, b, row[b]
-    return None
+    """First (a, b, a*b), a <= b, with a, b inside but the product outside, else None."""
+    pair = first_pair_outside(M.table, mask_of(members), M.order.down)  # a*b <= a
+    return None if pair is None else (*pair, M.table[pair[0]][pair[1]])
 
 
 def make_m_closed(M: MultiplicativeLattice, members: Iterable[int], name: str = "X") -> MClosedSet:
@@ -196,11 +188,7 @@ def is_j_element(M: MultiplicativeLattice, i: int) -> bool:
 
 def join_escape(M: MultiplicativeLattice, xels: int) -> tuple[int, int] | None:
     """First pair of X-elements ``xels`` (a mask), in index order, whose join is not one (top never is)."""
-    join = M.join_table
-    for i1, i2 in combinations(iter_bits(xels), 2):
-        if not xels >> join[i1][i2] & 1:
-            return i1, i2
-    return None
+    return first_pair_outside(M.join_table, xels, M.order.up)
 
 
 def prime_meet_facts(M: MultiplicativeLattice, xels: int) -> tuple[int, bool, bool, bool]:
@@ -284,18 +272,13 @@ def maximal_x_avoiding(
         raise ValueError("X must be a principal down-set")
     if A.xset.mask != X.mask:
         raise ValueError("A was validated against a different set than X")
-    amask = A.mask
-    down = M.order.down
-    for t in iter_bits(amask):
-        if down[a] >> t & 1:
-            raise PreconditionViolated(t)
-    candidates = [
-        c
-        for c in range(M.size)
-        if down[c] >> a & 1 and not any(down[c] >> t & 1 for t in iter_bits(amask))
-    ]
-    # Largest down-set first: such a candidate is maximal under <=.
-    candidates.sort(key=lambda c: (-down[c].bit_count(), c))
-    best = candidates[0]
+    amask, down = A.mask, M.order.down
+    if below := down[a] & amask:
+        raise PreconditionViolated(lowest(below))
+    # A candidate with the largest down-set is maximal under <=.
+    best = min(
+        (c for c in iter_bits(M.order.up[a]) if not down[c] & amask),
+        key=lambda c: (-down[c].bit_count(), c),
+    )
     assert is_x_element(M, X, best), "maximal avoiding element must be an X-element"
     return best

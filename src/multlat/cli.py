@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classify import MClosedSet, NotMClosed, NotXMultClosed, canonical_sets, downset_m_closed
+from .classify import MClosedSet, NotMClosed, canonical_sets, downset_m_closed
 from .corpus import CORPUS_KINDS, Instance, parse_corpus_spec
 from .dot import hasse_dot
 from .lemmas import lemma_suite
@@ -35,7 +35,6 @@ _STRUCTURE_ERRORS = (
     AxiomViolation,
     TopJoinReducible,
     NotMClosed,
-    NotXMultClosed,
     DegenerateLattice,
 )
 

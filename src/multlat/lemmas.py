@@ -6,7 +6,8 @@ M-closed sets, every check must pass on every valid input; a failure
 indicates an implementation bug, and the failing tuple is reported. L6 is
 the one informational check: it looks for a pair of X-elements whose join is
 not an X-element (such pairs exist in some lattices and not others, so
-finding none is not a failure).
+finding none is not a failure). L5's meets and L6's joins are one pair scan,
+``order.first_pair_outside``, the kernel that M-closure also reads.
 
 The per-set checks run for each given set and for the canonical sets (zero
 divisors, nil down-set, Jacobson down-set); the prime-meet down-set of L10
@@ -50,7 +51,7 @@ from .classify import (
     x_witness,
 )
 from .multiplicative import DegenerateLattice, MultiplicativeLattice
-from .order import iter_bits, lowest, mask_of
+from .order import first_pair_outside, iter_bits, lowest, mask_of
 
 
 @dataclass(frozen=True)
@@ -213,26 +214,16 @@ def _check_l5(M: MultiplicativeLattice, X: MClosedSet, xels: int) -> CheckResult
     """Meets of nonempty families of X-elements are X-elements."""
     # Binary meets suffice: a nonempty finite meet is a chain of binary ones,
     # so closure under pairs gives closure under every family by induction.
-    # meet(i1, i2) <= i1, so row i1 passes when every element below i1 is an
-    # X-element. Any other row is tested against the members from i1 on at
-    # once (the pairs (i2, i1) with i2 < i1 passed with row i2), and only a
-    # failing row is scanned for its first bad i2.
-    members = list(iter_bits(xels))
-    has, down = set(members).__contains__, M.order.down  # membership in C
-    not_x = M.full_mask & ~xels
-    for start, i1 in enumerate(members):
-        if not down[i1] & not_x:
-            continue
-        row, later = M.meet_table[i1], members[start:]
-        if all(map(has, map(row.__getitem__, later))):
-            continue
-        for i2 in later:
-            if not has(row[i2]):
-                return CheckResult(
-                    "L5", X.name, False,
-                    f"meet of X-elements {_lbl(M, i1, i2)} is {M.label(row[i2])}, not an X-element",
-                )
-    return CheckResult("L5", X.name, True)
+    # The pair scan is the closure kernel that M-closure, L6 and trivial_mult
+    # share; meet(i1, i2) <= i1, so it passes row i1 untested when every
+    # element below i1 is an X-element.
+    pair = first_pair_outside(M.meet_table, xels, M.order.down)
+    if pair is None:
+        return CheckResult("L5", X.name, True)
+    return CheckResult(
+        "L5", X.name, False,
+        f"meet of X-elements {_lbl(M, *pair)} is {M.label(M.meet(*pair))}, not an X-element",
+    )
 
 
 def _check_l6(M: MultiplicativeLattice, X: MClosedSet, xels: int) -> CheckResult:

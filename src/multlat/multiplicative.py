@@ -71,7 +71,7 @@ from itertools import chain, compress
 from operator import eq, itemgetter
 from typing import Iterable
 
-from .order import FiniteLattice, PartialOrder, iter_bits, lowest, mask_of, validate_lattice
+from .order import FiniteLattice, PartialOrder, first_pair_outside, iter_bits, lowest, mask_of, validate_lattice
 
 
 class AxiomViolation(ValueError):
@@ -654,12 +654,11 @@ def trivial_mult(lattice: FiniteLattice, name: str = "L") -> MultiplicativeLatti
     n = lattice.size
     top, bottom = lattice.top, lattice.bottom
     if top not in lattice.join_irreducibles:
-        for x in range(n):
-            if x == top:
-                continue
-            for y in range(x, n):
-                if y != top and lattice.join(x, y) == top:
-                    raise TopJoinReducible(x, y)
+        proper = lattice.full_mask & ~(1 << top)
+        pair = first_pair_outside(lattice.join_table, proper, lattice.order.up)
+        # None only on the one-element lattice: top = bottom is outside J(L), with no proper pair.
+        if pair is not None:
+            raise TopJoinReducible(*pair)
     rows = [
         [x if y == top else (y if x == top else bottom) for y in range(n)]
         for x in range(n)

@@ -58,6 +58,33 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def first_pair_outside(
+    table: tuple[tuple[int, ...], ...], mask: int, reach: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """First (a, b) in index order, a <= b both in ``mask``, with ``table[a][b]``
+    outside ``mask``; None when the set is closed under the table.
+
+    ``table`` is symmetric, so a failing (a, b) with b < a has (b, a) failing
+    earlier, and scanning b >= a keeps the witness first, squares included.
+    ``reach[a]`` holds every entry of row a (the down-set row for a meet or a
+    product, the up-set row for a join): a row whose reach lies inside
+    ``mask`` passes untested. Every other row is tested against the members
+    from a on in one C-level pass, and only a failing row is scanned for b.
+    """
+    members = list(iter_bits(mask))
+    inside, outside = set(members), ((1 << len(reach)) - 1) ^ mask
+    for k, a in enumerate(members):
+        if not reach[a] & outside:
+            continue
+        row, later = table[a], members[k:]
+        if inside.issuperset(map(row.__getitem__, later)):
+            continue
+        for b in later:
+            if row[b] not in inside:
+                return a, b
+    return None
+
+
 @dataclass(frozen=True)
 class PartialOrder:
     """A reflexive, antisymmetric, transitive relation on 0..size-1."""

@@ -10,6 +10,7 @@ from multlat import (
     NotMClosed,
     NotXMultClosed,
     PreconditionViolated,
+    attach_multiplication,
     chain_lattice,
     check_report_witnesses,
     classify_lattice,
@@ -132,6 +133,16 @@ def test_not_m_closed_witness(z12):
     # the defining escape: (2)*(3) = (6) outside the set
     i2, i3 = div_index(z12, "(2)"), div_index(z12, "(3)")
     assert z12.product(i2, i3) not in members
+
+
+def test_not_m_closed_witness_can_be_a_square():
+    # The 4-chain 0 < a < b < 1 with b*b = a: in {b, 1}, b*1 = b and 1*1 = 1
+    # stay inside, so the only escape is the square b*b.
+    L = lattice_from_pairs(4, [(0, 1), (1, 2), (2, 3)], ["0", "a", "b", "1"])
+    M = attach_multiplication(L, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 2], [0, 1, 2, 3]])
+    with pytest.raises(NotMClosed) as err:
+        make_m_closed(M, {2, 3})
+    assert err.value.witness == (2, 2, 1)
 
 
 def test_empty_set_rejected(z12):

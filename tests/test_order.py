@@ -1,5 +1,6 @@
 """Order kernel: closure, antisymmetry, meets/joins against brute force."""
 
+import random
 from unittest import mock
 
 import pytest
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 from multlat import (
     CycleError,
     acceptance_corpus,
+    canonical_sets,
     load_path,
     NotALattice,
     build_order,
     lattice_from_pairs,
     validate_lattice,
+    x_element_mask,
 )
 from multlat import corpus, order, ringbridge
 from multlat.corpus import KITE_COVERS
-from multlat.order import PartialOrder, iter_bits, lowest, mask_of
-from conftest import assert_cover_splits, pair_scan_tables
+from multlat.order import PartialOrder, first_pair_outside, iter_bits, lowest, mask_of
+from conftest import assert_cover_splits, pair_scan_tables, x_set_instances
 
 
 def brute_leq(size, pairs):
@@ -210,6 +213,45 @@ def test_mask_helpers():
     assert list(iter_bits(0b100101)) == [0, 2, 5]
     for mask in (*range(1, 1 << 9), 1 << 1343, (1 << 1343) | (1 << 700), (1 << 2304) - 1):
         assert lowest(mask) == next(iter_bits(mask)) == min(iter_bits(mask)), mask
+
+
+def literal_first_pair_outside(table, mask):
+    """The first ordered pair (a, b) in index order, both orders and a = b
+    included, both in ``mask``, whose table entry lies outside it."""
+    members = [a for a in range(len(table)) if mask >> a & 1]
+    for a in members:
+        for b in members:
+            if not mask >> table[a][b] & 1:
+                return a, b
+    return None
+
+
+def test_first_pair_outside_matches_the_literal_scan():
+    # The kernel scans b >= a only and skips the rows whose reach lies inside
+    # the mask; neither may move the witness, squares included. Masks: the
+    # canonical X-elements, every principal down-set, and seeded random sets.
+    rng = random.Random(30)
+    seen, found, squares = set(), 0, 0
+    for M in x_set_instances():
+        if (M.order.down, M.table) in seen:
+            continue
+        seen.add((M.order.down, M.table))
+        masks = [x_element_mask(M, X) for X in canonical_sets(M).values()]
+        masks += M.order.down
+        for density in (1, 2, 3):
+            for _ in range(8):
+                m = M.full_mask
+                for _ in range(density):
+                    m &= rng.getrandbits(M.size)
+                masks.append(m)
+        for table, reach in ((M.meet_table, M.order.down), (M.join_table, M.order.up),
+                             (M.table, M.order.down)):
+            for mask in masks:
+                want = literal_first_pair_outside(table, mask)
+                assert first_pair_outside(table, mask, reach) == want, (M.name, mask)
+                found += want is not None
+                squares += want is not None and want[0] == want[1]
+    assert found > 1000 and squares > 300
 
 
 @given(
